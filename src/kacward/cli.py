@@ -62,8 +62,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_z(args) -> int:
     g = _load_validated(args.file)
-    z = partition_function_kw(g)
     r = kac_ward_determinant(g)
+    z = partition_function_kw(r)
     print(f"Z = {_fmt(z)}")
     print(f"log_Z = {_fmt(0.5 * r.log_abs_det)}")
     return 0

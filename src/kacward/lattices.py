@@ -15,9 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import EmbeddedGraph
-from .transition import kac_ward_determinant, partition_function_kw
-
-_LOG_OVERFLOW = 709.0
+from .transition import _LOG_OVERFLOW, _sqrt_det, kac_ward_determinant
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,5 @@ def ising_partition_kw(inst: IsingInstance) -> tuple[float, float]:
     """
     conv = ising_to_even_weights(inst)
     det = kac_ward_determinant(conv.graph)
-    z_even = partition_function_kw(conv.graph)
     log_z = conv.log_prefactor + 0.5 * det.log_abs_det
-    return conv.prefactor * z_even, log_z
+    return conv.prefactor * _sqrt_det(det), log_z

@@ -1,22 +1,23 @@
 """Kac-Ward transition matrix, determinant, and the even-subgraph partition function.
 
-The transition matrix is the dense complex matrix on directed edges with
+The transition matrix is the sparse complex matrix on directed edges with
 entry ``x_e * exp(i * angle / 2)`` wherever a non-backtracking step from one
-directed edge to the next is possible.  The determinant of ``I - transition``
-equals the square of the even-subgraph generating function, which is how
-``partition_function_kw`` evaluates it.
+directed edge to the next is possible; a row has at most ``deg(head) - 1``
+nonzeros.  The determinant of ``I - transition`` equals the square of the
+even-subgraph generating function, which is how ``partition_function_kw``
+evaluates it.  ``I - transition`` is factored once per query by a sparse LU
+with a fill-reducing column ordering (SuperLU, COLAMD).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .graph import EmbeddedGraph, max_degree, require_valid_embedding, turning_angle
+from .graph import EmbeddedGraph, max_degree, require_valid_embedding
 
 # exp(709) is the last finite double; past this the linear determinant overflows.
 _LOG_OVERFLOW = 709.0
@@ -24,10 +25,23 @@ _LOG_OVERFLOW = 709.0
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Dense complex transition matrix on the 2|E| directed edges."""
+    """Complex transition matrix on the 2|E| directed edges, as COO triplets.
+
+    Entry ``(rows[k], cols[k])`` holds ``values[k]``; every other entry is
+    zero and no position appears twice.
+    """
 
     size: int
-    entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense ``size x size`` array, built on each access; small graphs only."""
+        m = np.zeros((self.size, self.size), dtype=np.complex128)
+        m[self.rows, self.cols] = self.values
+        return m
 
 
 @dataclass(frozen=True)
@@ -48,42 +62,88 @@ def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
     """Assemble the directed-edge transition matrix for a validated graph."""
     require_valid_embedding(g)
     n = g.num_directed
-    m = np.zeros((n, n), dtype=np.complex128)
+    rows, cols = [], []
     for d in range(n):
-        w = g.directed_weight(d)
         for f in g.out_edges(g.head(d)):
-            if f == (d ^ 1):
-                continue
-            m[d, f] = w * cmath.exp(0.5j * turning_angle(g, d, f))
-    return TransitionMatrix(size=n, entries=m)
+            if f != (d ^ 1):
+                rows.append(d)
+                cols.append(f)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    # Turning angles of all steps at once, with turning_angle's formula.
+    step = np.array([g.direction(d) for d in range(n)], dtype=np.float64).reshape(-1, 2)
+    ex, ey = step[rows, 0], step[rows, 1]
+    fx, fy = step[cols, 0], step[cols, 1]
+    angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
+    angle[angle == -math.pi] = math.pi  # the turning angle lies in (-pi, pi]
+    weight = np.array(g.weights(), dtype=np.float64)[rows >> 1]
+    values = weight * np.exp(0.5j * angle)
+    return TransitionMatrix(size=n, rows=rows, cols=cols, values=values)
+
+
+def _parity(perm: np.ndarray) -> int:
+    """0 if the permutation is even, 1 if odd."""
+    p = perm.tolist()
+    seen = [False] * len(p)
+    transpositions = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        j = start
+        while not seen[j]:  # a cycle of length c is c - 1 transpositions
+            seen[j] = True
+            j = p[j]
+            transpositions += 1
+        transpositions -= 1
+    return transpositions & 1
+
+
+def _sparse_slogdet(a) -> tuple[float, float]:
+    """(log|det a|, phase of det a in (-pi, pi]) of a square scipy CSC matrix.
+
+    SuperLU factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal ``L``, so
+    ``det a`` is the product of ``diag(U)`` times the signs of the two
+    permutations.
+    """
+    from scipy.sparse.linalg import splu
+
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NumericalError(f"determinant is zero ({exc})") from exc
+    pivots = lu.U.diagonal()
+    log_abs = float(np.sum(np.log(np.abs(pivots))))
+    phase = float(np.sum(np.angle(pivots)))
+    phase += math.pi * (_parity(lu.perm_r) ^ _parity(lu.perm_c))
+    phase = math.remainder(phase, 2.0 * math.pi)
+    if phase == -math.pi:
+        phase = math.pi
+    return log_abs, phase
 
 
 def kac_ward_determinant(g: EmbeddedGraph) -> DetResult:
-    """det(I - transition), via pivoted LU in log form to avoid overflow."""
+    """det(I - transition), from one sparse LU in log form to avoid overflow."""
     tm = build_transition_matrix(g)
-    a = np.eye(tm.size, dtype=np.complex128) - tm.entries
-    sign, log_abs = np.linalg.slogdet(a)
-    sign = complex(sign)
-    log_abs = float(log_abs)
-    if sign == 0:
-        raise NumericalError("determinant is zero")
-    phase = cmath.phase(sign)
-    if log_abs < _LOG_OVERFLOW:
-        mag = math.exp(log_abs)
-    else:
-        mag = math.inf
-    det = complex(mag * sign.real, mag * sign.imag)
+    if tm.size == 0:
+        return DetResult(det=1.0 + 0.0j, log_abs_det=0.0, phase=0.0)
+    from scipy.sparse import csc_array
+
+    diag = np.arange(tm.size)
+    a = csc_array(
+        (
+            np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values)),
+            (np.concatenate((diag, tm.rows)), np.concatenate((diag, tm.cols))),
+        ),
+        shape=(tm.size, tm.size),
+    )
+    log_abs, phase = _sparse_slogdet(a)
+    mag = math.exp(log_abs) if log_abs < _LOG_OVERFLOW else math.inf
+    det = complex(mag * math.cos(phase), mag * math.sin(phase))
     return DetResult(det=det, log_abs_det=log_abs, phase=phase)
 
 
-def partition_function_kw(g: EmbeddedGraph) -> float:
-    """Even-subgraph generating function, as the square root of the determinant.
-
-    Returns the nonnegative root.  For nonnegative weights this is the
-    generating function itself (every monomial is nonnegative and the empty
-    subgraph contributes 1); for mixed-sign weights it is its absolute value.
-    """
-    r = kac_ward_determinant(g)
+def _sqrt_det(r: DetResult) -> float:
+    """Nonnegative square root of a determinant that must be real and nonnegative."""
     if not math.isfinite(abs(r.det)):
         # Linear value overflowed: fall back to a phase test.
         if abs(math.sin(r.phase)) > 1e-9 or math.cos(r.phase) <= 0:
@@ -99,6 +159,20 @@ def partition_function_kw(g: EmbeddedGraph) -> float:
             "invalid embedding or numerical failure"
         )
     return math.sqrt(max(r.det.real, 0.0))
+
+
+def partition_function_kw(source: EmbeddedGraph | DetResult) -> float:
+    """Even-subgraph generating function, as the square root of the determinant.
+
+    ``source`` is a graph, or the ``DetResult`` of one when the caller has
+    already factored it.  Returns the nonnegative root.  For nonnegative
+    weights this is the generating function itself (every monomial is
+    nonnegative and the empty subgraph contributes 1); for mixed-sign
+    weights it is its absolute value.
+    """
+    if not isinstance(source, DetResult):
+        source = kac_ward_determinant(source)
+    return _sqrt_det(source)
 
 
 def check_convergence_radius(g: EmbeddedGraph) -> bool:

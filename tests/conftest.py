@@ -129,3 +129,19 @@ def bowtie():
 @pytest.fixture
 def square_cycle():
     return make_square_cycle()
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Shapes of the matrices that kac_ward_determinant factors during the test."""
+    from kacward import transition
+
+    real = transition._sparse_slogdet
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(transition, "_sparse_slogdet", counting)
+    return calls

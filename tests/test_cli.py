@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import kacward
 
 from kacward import (
     NumericalError,
@@ -72,6 +77,13 @@ def test_z_triangle(capsys, triangle_file):
     )
     assert out.startswith("Z = 1.125000000")
     assert abs(z - partition_function_oracle(make_triangle(0.5))) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["z", "det"])
+def test_z_and_det_factor_once(capsys, bowtie_file, factor_calls, command):
+    code, _, _ = run(capsys, command, bowtie_file)
+    assert code == 0
+    assert factor_calls == [(12, 12)]
 
 
 def test_z_tree_is_one(capsys, tmp_path):
@@ -391,6 +403,25 @@ def test_verify_outside_radius_skips_generic_check(capsys, tmp_path):
     assert code == 0
     line = [l for l in out.splitlines() if l.startswith("generic-cancellation")]
     assert line and "skip" in line[0]
+
+
+def test_import_and_verify_leave_scipy_unloaded(bowtie_file):
+    # scipy is imported by the first factorization only; importing the
+    # package and running verify must not pay for it.
+    script = (
+        "import contextlib, io, sys\n"
+        "import kacward, kacward.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = kacward.cli.main(['verify', {bowtie_file!r}, '--max-loop-len', '6'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(kacward.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 # -- dispatch ------------------------------------------------------------------------

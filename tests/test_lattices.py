@@ -184,3 +184,12 @@ def test_large_lattice_log_path_stays_finite():
     # The linear value is allowed to be large but must be consistent if finite.
     if math.isfinite(z):
         assert math.log(z) == pytest.approx(log_z, rel=1e-10)
+
+
+def test_ising_factors_once(factor_calls):
+    g = gen_square(3, 4, 0.0)
+    for beta in (0.3, 0.9):
+        factor_calls.clear()
+        z, log_z = ising_partition_kw(uniform_ising(g, beta=beta))
+        assert factor_calls == [(2 * g.num_edges, 2 * g.num_edges)]
+        assert math.log(z) == pytest.approx(log_z, rel=1e-12)

@@ -6,17 +6,26 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
+
 from kacward import (
     EmbeddedGraph,
     InvalidEmbeddingError,
+    NumericalError,
     build_transition_matrix,
     check_convergence_radius,
     gen_hex,
+    gen_square,
+    ising_to_even_weights,
     kac_ward_determinant,
     partition_function_kw,
     partition_function_oracle,
     reverse_edge,
+    turning_angle,
+    uniform_ising,
 )
+from kacward.transition import _parity, _sparse_slogdet
 from conftest import (
     disjoint_union,
     make_bowtie,
@@ -63,6 +72,31 @@ def test_entry_support_and_magnitude(corpus):
             assert abs(tm.entries[d, f]) == pytest.approx(
                 abs(g.directed_weight(d)), rel=1e-15
             )
+
+
+def test_build_matches_per_entry_loop(corpus):
+    # Reference: one turning_angle call per allowed step, as a plain loop.
+    for g in corpus[:40]:
+        n = g.num_directed
+        want = np.zeros((n, n), dtype=np.complex128)
+        for d in range(n):
+            for f in g.out_edges(g.head(d)):
+                if f != reverse_edge(d):
+                    want[d, f] = g.directed_weight(d) * cmath.exp(
+                        0.5j * turning_angle(g, d, f)
+                    )
+        tm = build_transition_matrix(g)
+        assert len(set(zip(tm.rows.tolist(), tm.cols.tolist()))) == len(tm.values)
+        np.testing.assert_allclose(tm.entries, want, rtol=0, atol=1e-15)
+
+
+def test_straight_step_angle_is_zero_and_reversal_is_excluded():
+    # Collinear path 0 -> 1 -> 2: the straight step has angle 0, entry = weight.
+    g = EmbeddedGraph([(0, 0), (1, 0), (2, 0)], [(0, 1, 0.5), (1, 2, 0.25)])
+    tm = build_transition_matrix(g)
+    assert sorted(zip(tm.rows.tolist(), tm.cols.tolist())) == [(0, 2), (3, 1)]
+    assert tm.entries[0, 2] == 0.5
+    assert tm.entries[3, 1] == 0.25
 
 
 def test_build_rejects_invalid_embedding():
@@ -123,6 +157,72 @@ def test_disjoint_union_factorizes():
     assert abs(d12 - d1 * d2) <= 1e-10 * abs(d1 * d2)
 
 
+def _dense_slogdet(g):
+    m = build_transition_matrix(g).entries
+    sign, log_abs = np.linalg.slogdet(np.eye(len(m), dtype=np.complex128) - m)
+    return float(log_abs), cmath.phase(complex(sign))
+
+
+def _assert_det_matches_dense(g):
+    r = kac_ward_determinant(g)
+    log_abs, phase = _dense_slogdet(g)
+    assert r.log_abs_det == pytest.approx(log_abs, rel=1e-10, abs=1e-14)
+    assert abs(math.remainder(r.phase - phase, 2 * math.pi)) <= 1e-9
+    assert -math.pi < r.phase <= math.pi
+
+
+def test_det_matches_dense_slogdet_on_corpus(corpus):
+    for g in corpus:
+        _assert_det_matches_dense(g)
+    _assert_det_matches_dense(EmbeddedGraph([(0.0, 0.0), (2.0, 3.0)], []))
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.44, 2.0, 20.0])
+@pytest.mark.parametrize(
+    "lattice", [gen_square(5, 9, 1.0), gen_hex(6, 3, 1.0)], ids=["square", "hex"]
+)
+def test_det_matches_dense_slogdet_on_strips(lattice, beta):
+    _assert_det_matches_dense(ising_to_even_weights(uniform_ising(lattice, beta)).graph)
+
+
+def _random_pivoting_matrix(rng, n):
+    # Sparse complex matrix with a tiny diagonal, so partial pivoting swaps rows.
+    a = np.zeros((n, n), dtype=np.complex128)
+    mask = rng.random((n, n)) < 0.25
+    a[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
+    a[np.diag_indices(n)] = 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return a
+
+
+def test_sparse_slogdet_matches_dense_with_odd_permutations():
+    rng = np.random.default_rng(7)
+    odd_rows = odd_cols = 0
+    for _ in range(40):
+        a = _random_pivoting_matrix(rng, int(rng.integers(3, 13)))
+        lu = splu(csc_array(a))
+        odd_rows += _parity(lu.perm_r)
+        odd_cols += _parity(lu.perm_c)
+        log_abs, phase = _sparse_slogdet(csc_array(a))
+        sign, want_log = np.linalg.slogdet(a)
+        assert log_abs == pytest.approx(want_log, rel=1e-10, abs=1e-12)
+        assert abs(math.remainder(phase - cmath.phase(sign), 2 * math.pi)) <= 1e-9
+    # The sample exercises both permutation signs on both sides.
+    assert 0 < odd_rows < 40 and 0 < odd_cols < 40
+
+
+def test_parity_matches_permutation_matrix_determinant():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        perm = rng.permutation(n)
+        det = np.linalg.det(np.eye(n)[perm])
+        assert _parity(perm) == (0 if det > 0 else 1)
+
+
+def test_singular_factor_is_numerical_error():
+    with pytest.raises(NumericalError):
+        _sparse_slogdet(csc_array(np.ones((2, 2), dtype=np.complex128)))
+
+
 # -- partition function -------------------------------------------------------
 
 
@@ -134,6 +234,11 @@ def test_edgeless_graph_partition_is_one():
     g = EmbeddedGraph([(0.0, 0.0), (2.0, 3.0)], [])
     assert kac_ward_determinant(g).det == 1.0 + 0.0j
     assert partition_function_kw(g) == 1.0
+
+
+def test_partition_accepts_det_result():
+    g = make_bowtie(0.5)
+    assert partition_function_kw(kac_ward_determinant(g)) == partition_function_kw(g)
 
 
 def test_triangle_partition():
