@@ -15,12 +15,7 @@ import sys
 
 from .decoration import decorate
 from .errors import GraphFormatError, InvalidEmbeddingError, NumericalError
-from .graph import (
-    EmbeddedGraph,
-    dumps_graph,
-    load_graph,
-    validate_embedding,
-)
+from .graph import dumps_graph, load_graph, require_valid_embedding
 from .lattices import IsingInstance, gen_hex, gen_square, ising_partition_kw
 from .transition import kac_ward_determinant, partition_function_kw
 from .verify import run_suite
@@ -39,19 +34,6 @@ def _fail(kind: str, message: str) -> None:
     print(f"kacward: error[{kind}]: {message}", file=sys.stderr)
 
 
-def _load_validated(path: str) -> EmbeddedGraph:
-    g = load_graph(path)
-    report = validate_embedding(g)
-    if not report.ok:
-        first = report.violations[0]
-        extra = f" (vertex {first.vertex})" if first.vertex is not None else ""
-        raise InvalidEmbeddingError(
-            f"{len(report.violations)} violation(s), first: "
-            f"{first.kind} on edges {first.edges}{extra}"
-        )
-    return g
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -61,7 +43,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_z(args) -> int:
-    g = _load_validated(args.file)
+    g = load_graph(args.file)
+    require_valid_embedding(g)
     r = kac_ward_determinant(g)
     z = partition_function_kw(r)
     print(f"Z = {_fmt(z)}")
@@ -70,7 +53,8 @@ def _cmd_z(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    g = _load_validated(args.file)
+    g = load_graph(args.file)
+    require_valid_embedding(g)
     r = kac_ward_determinant(g)
     print(f"det_re = {_fmt(r.det.real)}")
     print(f"det_im = {_fmt(r.det.imag)}")
@@ -80,7 +64,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_ising(args) -> int:
-    g = _load_validated(args.file)
+    g = load_graph(args.file)
+    require_valid_embedding(g)
     if args.coupling is not None:
         couplings = (args.coupling,) * g.num_edges
     else:
@@ -105,7 +90,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decorate(args) -> int:
-    g = _load_validated(args.file)
+    g = load_graph(args.file)
+    require_valid_embedding(g)
     dec = decorate(g)
     _write_output(dumps_graph(dec.decorated), args.output)
     sidecar = {
@@ -121,7 +107,8 @@ def _cmd_decorate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_validated(args.file)
+    g = load_graph(args.file)
+    require_valid_embedding(g)
     max_len = args.max_loop_len
     if max_len is None:
         max_len = int(os.environ.get(ENV_MAX_LOOP_LEN, DEFAULT_MAX_LOOP_LEN))

@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidEmbeddingError
-from .graph import (
-    EmbeddedGraph,
-    Point,
-    require_valid_embedding,
-    validate_embedding,
-)
+from .graph import EmbeddedGraph, Point, require_valid_embedding
 from .loops import Loop, _check_in_graph
 
 # Fan radius as a fraction of the available clearance around the vertex.
@@ -148,11 +143,10 @@ def decorate(g: EmbeddedGraph) -> Decoration:
             new_edges.append((a, b, 1.0))
 
     decorated = EmbeddedGraph(new_points, new_edges)
-    report = validate_embedding(decorated)
-    if not report.ok:
-        raise InvalidEmbeddingError(
-            f"decoration produced an invalid embedding: {report.violations[0]}"
-        )
+    try:
+        require_valid_embedding(decorated)
+    except InvalidEmbeddingError as exc:
+        raise InvalidEmbeddingError(f"decorated graph: {exc}") from exc
     return Decoration(
         decorated=decorated,
         edge_map=tuple(edge_map),

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
-
-# Relative tolerance for the geometric predicates (applied to normalized
-# cross products; exact integer coordinates never need it).
-GEOMETRY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -168,15 +165,26 @@ class EmbeddedGraph:
         return tuple(e.weight for e in self._edges)
 
     def with_weights(self, weights: Sequence[float]) -> "EmbeddedGraph":
-        """Same geometry and topology, new edge weights."""
+        """Same geometry and topology, new edge weights.
+
+        Shares this graph's immutable vertex and adjacency tuples; only the
+        edges are rebuilt, and only the weights are checked.
+        """
         if len(weights) != len(self._edges):
             raise ValueError(
                 f"expected {len(self._edges)} weights, got {len(weights)}"
             )
-        return EmbeddedGraph(
-            self._vertices,
-            [(e.u, e.v, w) for e, w in zip(self._edges, weights)],
-        )
+        es = []
+        for k, (e, w) in enumerate(zip(self._edges, weights)):
+            w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"edge {k} has non-finite weight {w}")
+            es.append(Edge(e.u, e.v, w))
+        g = object.__new__(EmbeddedGraph)
+        for name in self.__slots__:
+            object.__setattr__(g, name, getattr(self, name))
+        object.__setattr__(g, "_edges", tuple(es))
+        return g
 
     # -- equality / hashing (value semantics; safe because immutable) ---
 
@@ -254,35 +262,51 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _orient(a: Point, b: Point, c: Point) -> int:
-    """Orientation sign of the triangle (a, b, c); 0 means collinear.
+# Shewchuk's (1997) bound on the rounding error of the float orientation
+# determinant, relative to |detleft| + |detright|.  It assumes no underflow
+# or overflow, so a bound that is not a finite normal float is not trusted.
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_MIN_NORMAL = sys.float_info.min
 
-    Collinearity uses GEOMETRY_EPS relative to the segment lengths so that
-    float noise on user input does not flip the verdict.
+
+def _orient(a: Point, b: Point, c: Point) -> int:
+    """Exact orientation sign of the triangle (a, b, c); 0 means collinear.
+
+    The float determinant decides when it is clear of its error bound;
+    otherwise the sign is computed exactly in rationals (every float is a
+    dyadic rational), so no tolerance enters any verdict.
     """
     ux, uy = b.x - a.x, b.y - a.y
     vx, vy = c.x - a.x, c.y - a.y
-    cross = ux * vy - uy * vx
-    scale = math.hypot(ux, uy) * math.hypot(vx, vy)
-    if abs(cross) <= GEOMETRY_EPS * scale:
+    detleft = ux * vy
+    detright = uy * vx
+    det = detleft - detright
+    bound = _ORIENT_ERRBOUND * (abs(detleft) + abs(detright))
+    if _MIN_NORMAL <= bound < math.inf:
+        if det > bound:
+            return 1
+        if det < -bound:
+            return -1
+    # A float difference is zero exactly when its operands are equal, so
+    # this catches exact collinearity (axis-parallel edges) without rationals.
+    if (ux == 0.0 or vy == 0.0) and (uy == 0.0 or vx == 0.0):
         return 0
-    return 1 if cross > 0 else -1
+    from fractions import Fraction
+
+    ax, ay = Fraction(a.x), Fraction(a.y)
+    exact = (Fraction(b.x) - ax) * (Fraction(c.y) - ay) - (Fraction(b.y) - ay) * (
+        Fraction(c.x) - ax
+    )
+    return (exact > 0) - (exact < 0)
+
+
+def _sign(t: float) -> int:
+    return (t > 0.0) - (t < 0.0)
 
 
 def _within_box(a: Point, b: Point, p: Point) -> bool:
-    """Is p inside the closed bounding box of segment a-b (with tolerance)?"""
-    tol = GEOMETRY_EPS * max(
-        abs(a.x), abs(a.y), abs(b.x), abs(b.y), abs(p.x), abs(p.y), 1.0
-    )
-    return (
-        min(a.x, b.x) - tol <= p.x <= max(a.x, b.x) + tol
-        and min(a.y, b.y) - tol <= p.y <= max(a.y, b.y) + tol
-    )
-
-
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    """Is p on the closed segment a-b?"""
-    return _orient(a, b, p) == 0 and _within_box(a, b, p)
+    """Is p inside the closed bounding box of segment a-b?"""
+    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
 
 
 def _segments_conflict(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
@@ -305,60 +329,129 @@ def _segments_conflict(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
+def _edges_conflict(vertices, ui: int, vi: int, uj: int, vj: int) -> bool:
+    """Do two non-zero-length edges meet anywhere except a shared endpoint?"""
+    if ui == uj or ui == vj:
+        s, p, q = ui, vi, (vj if ui == uj else uj)
+    elif vi == uj or vi == vj:
+        s, p, q = vi, ui, (vj if vi == uj else uj)
+    else:
+        return _segments_conflict(vertices[ui], vertices[vi], vertices[uj], vertices[vj])
+    # Collinear and pointing the same way from the shared vertex means the
+    # segments overlap beyond it.  The vectors are parallel, so they point the
+    # same way exactly when their coordinate differences have equal signs.
+    sp, pp, qp = vertices[s], vertices[p], vertices[q]
+    return (
+        _orient(sp, pp, qp) == 0
+        and _sign(pp.x - sp.x) == _sign(qp.x - sp.x)
+        and _sign(pp.y - sp.y) == _sign(qp.y - sp.y)
+    )
+
+
+def _grid_shape(cells: int, width: float, height: float) -> tuple[int, int]:
+    """Columns and rows for about ``cells`` near-square cells over a width x height box."""
+    if not 0.0 < width < math.inf:
+        return 1, (cells if 0.0 < height < math.inf else 1)
+    if not 0.0 < height < math.inf:
+        return cells, 1
+    # width / height may overflow to inf or underflow to 0; both clamp.
+    cols = int(max(1.0, min(cells, math.sqrt(cells * (width / height)))))
+    return cols, max(1, cells // cols)
+
+
+def _axis_cells(coords: list[float], n: int) -> tuple[int, list[int]]:
+    """Cut [min, max] of ``coords`` into ``n`` equal cells; the cell of each coordinate.
+
+    The cell index never decreases as the coordinate grows, whatever the
+    rounding, so every point of an interval [a, b] lies in a cell from
+    cell(a) to cell(b).  A span that floats cannot cut gets one cell.
+    """
+    lo = min(coords)
+    size = (max(coords) - lo) / n
+    if not _MIN_NORMAL <= size < math.inf:
+        return 1, [0] * len(coords)
+    last = n - 1
+    return n, [min(last, int((c - lo) / size)) for c in coords]
+
+
 @lru_cache(maxsize=4096)
 def _validate_geometry(
     vertices: tuple[Point, ...], endpoints: tuple[tuple[int, int], ...]
 ) -> tuple[Violation, ...]:
-    """Weight-independent geometry checks, cached so reweighted copies are free."""
+    """Weight-independent geometry checks, cached so reweighted copies are free.
+
+    Each non-zero-length edge goes into every cell of a uniform grid that its
+    bounding box covers.  Only pairs of edges that share a cell and whose
+    closed bounding boxes overlap reach the exact tests, and a vertex is
+    tested only against the edges in its own cell; the grid is a filter and
+    never decides a verdict.  About O(|E|) on lattices.
+    """
+    xs = [p.x for p in vertices]
+    ys = [p.y for p in vertices]
+    live = []
     violations: list[Violation] = []
-
-    zero_length = set()
     for k, (u, v) in enumerate(endpoints):
-        a, b = vertices[u], vertices[v]
-        if a.x == b.x and a.y == b.y:
+        if xs[u] == xs[v] and ys[u] == ys[v]:
             violations.append(Violation("zero_length", (k,)))
-            zero_length.add(k)
+        else:
+            live.append(k)
+    if not live:
+        return tuple(violations)
 
+    cols, rows = _grid_shape(len(live), max(xs) - min(xs), max(ys) - min(ys))
+    cols, col = _axis_cells(xs, cols)
+    rows, row = _axis_cells(ys, rows)
     m = len(endpoints)
-    for i in range(m):
-        if i in zero_length:
-            continue
-        ui, vi = endpoints[i]
-        a, b = vertices[ui], vertices[vi]
-        for j in range(i + 1, m):
-            if j in zero_length:
-                continue
-            uj, vj = endpoints[j]
-            shared = {ui, vi} & {uj, vj}
-            c, d = vertices[uj], vertices[vj]
-            if len(shared) >= 2:
-                violations.append(Violation("crossing", (i, j)))
-                continue
-            if len(shared) == 1:
-                s = shared.pop()
-                p = vertices[vi if ui == s else ui]
-                q = vertices[vj if uj == s else uj]
-                sp = vertices[s]
-                # Collinear and pointing the same way from the shared vertex
-                # means the segments overlap beyond the shared endpoint.
-                if _orient(sp, p, q) == 0:
-                    dot = (p.x - sp.x) * (q.x - sp.x) + (p.y - sp.y) * (q.y - sp.y)
-                    if dot > 0:
-                        violations.append(Violation("crossing", (i, j)))
-                continue
-            if _segments_conflict(a, b, c, d):
-                violations.append(Violation("crossing", (i, j)))
+    x_lo, x_hi, y_lo, y_hi = [0.0] * m, [0.0] * m, [0.0] * m, [0.0] * m
+    first_col, first_row = [0] * m, [0] * m
+    cells: list[list[int]] = [[] for _ in range(cols * rows)]
+    for k in live:
+        u, v = endpoints[k]
+        x_lo[k], x_hi[k] = min(xs[u], xs[v]), max(xs[u], xs[v])
+        y_lo[k], y_hi[k] = min(ys[u], ys[v]), max(ys[u], ys[v])
+        c0, c1 = min(col[u], col[v]), max(col[u], col[v])
+        r0, r1 = min(row[u], row[v]), max(row[u], row[v])
+        first_col[k], first_row[k] = c0, r0
+        for r in range(r0 * cols, r1 * cols + 1, cols):
+            for c in range(r + c0, r + c1 + 1):
+                cells[c].append(k)
 
-    for k, (u, v) in enumerate(endpoints):
-        if k in zero_length:
-            continue
-        a, b = vertices[u], vertices[v]
-        for w in range(len(vertices)):
-            if w == u or w == v:
-                continue
-            if _on_segment(a, b, vertices[w]):
-                violations.append(Violation("vertex_on_edge", (k,), vertex=w))
+    crossings = []
+    for index, cell in enumerate(cells):
+        r, c = divmod(index, cols)
+        for a, i in enumerate(cell):
+            ui, vi = endpoints[i]
+            for j in cell[a + 1 :]:
+                # Test each pair once, in the first cell (lowest column and
+                # row) that both edges cover, and only if their boxes overlap.
+                if (
+                    max(first_col[i], first_col[j]) == c
+                    and max(first_row[i], first_row[j]) == r
+                    and x_lo[i] <= x_hi[j]
+                    and x_lo[j] <= x_hi[i]
+                    and y_lo[i] <= y_hi[j]
+                    and y_lo[j] <= y_hi[i]
+                    and _edges_conflict(vertices, ui, vi, *endpoints[j])
+                ):
+                    crossings.append((i, j))
+    crossings.sort()
+    violations.extend(Violation("crossing", pair) for pair in crossings)
 
+    on_edge = []
+    for w, p in enumerate(vertices):
+        x, y = p.x, p.y
+        for k in cells[row[w] * cols + col[w]]:
+            u, v = endpoints[k]
+            if (
+                w != u
+                and w != v
+                and x_lo[k] <= x <= x_hi[k]
+                and y_lo[k] <= y <= y_hi[k]
+                and _orient(vertices[u], vertices[v], p) == 0
+            ):
+                on_edge.append((k, w))
+    on_edge.sort()
+    violations.extend(Violation("vertex_on_edge", (k,), vertex=w) for k, w in on_edge)
     return tuple(violations)
 
 
