@@ -58,6 +58,17 @@ def test_with_weights_preserves_geometry():
     assert h != g
 
 
+def test_with_weights_checks_only_weights():
+    g = make_triangle()
+    h = g.with_weights([0.1, 0.2, 0.3])
+    assert h == EmbeddedGraph(g.vertices, [(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3)])
+    assert h.vertices is g.vertices and h.out_edges(1) is g.out_edges(1)
+    with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+        g.with_weights([0.1, 0.2])
+    with pytest.raises(ValueError, match="edge 1 has non-finite weight nan"):
+        g.with_weights([0.1, float("nan"), 0.3])
+
+
 # -- directed edge conventions -------------------------------------------
 
 
