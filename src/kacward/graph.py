@@ -374,7 +374,8 @@ def _axis_cells(coords: list[float], n: int) -> tuple[int, list[int]]:
     return n, [min(last, int((c - lo) / size)) for c in coords]
 
 
-@lru_cache(maxsize=4096)
+# Reweighted copies and beta sweeps reuse the latest geometry; entries hold whole keys.
+@lru_cache(maxsize=8)
 def _validate_geometry(
     vertices: tuple[Point, ...], endpoints: tuple[tuple[int, int], ...]
 ) -> tuple[Violation, ...]:

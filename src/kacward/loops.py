@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .graph import EmbeddedGraph, max_degree, turning_angle
-from .transition import build_transition_matrix, check_convergence_radius
+from .graph import EmbeddedGraph, turning_angle
+from .transition import _contraction, build_transition_matrix, check_convergence_radius
 
 MAX_LOOP_LEN_CAP = 16
 
@@ -178,6 +178,27 @@ def _check_len_cap(max_len: int) -> None:
         )
 
 
+def _walks(g: EmbeddedGraph, max_len: int, root: int | None) -> Iterator[list[int]]:
+    """Every walk of length 0..max_len from ``root`` (or from each edge in turn), in
+    lexicographic step order: a walk comes just before its extensions.  Yields one
+    step list, extended and shrunk in place; copy it to keep it."""
+    succ = [
+        [f for f in g.out_edges(g.head(d)) if f != (d ^ 1)] for d in range(g.num_directed)
+    ]
+    seq: list[int] = []
+    pending = [iter(range(g.num_directed) if root is None else (root,))]
+    while pending:  # pending[k]: the untried steps after the first k of seq
+        for f in pending[-1]:
+            seq.append(f)
+            yield seq
+            pending.append(iter(succ[f] if len(seq) <= max_len else ()))
+            break
+        else:
+            pending.pop()
+            if seq:
+                seq.pop()
+
+
 def enumerate_walks(
     g: EmbeddedGraph, max_len: int, start: int | None = None
 ) -> list[Walk]:
@@ -189,51 +210,7 @@ def enumerate_walks(
     _check_len_cap(max_len)
     if start is not None and not 0 <= start < g.num_directed:
         raise ValueError(f"start edge {start} out of range")
-    roots = range(g.num_directed) if start is None else (start,)
-    out: list[Walk] = []
-
-    def extend(seq: list[int]) -> None:
-        out.append(Walk(tuple(seq)))
-        if len(seq) > max_len:
-            return
-        last = seq[-1]
-        for f in g.out_edges(g.head(last)):
-            if f == (last ^ 1):
-                continue
-            seq.append(f)
-            extend(seq)
-            seq.pop()
-
-    for r in roots:
-        extend([r])
-    return out
-
-
-def _collect_rooted_loops(g: EmbeddedGraph, max_len: int, root: int) -> list[Loop]:
-    found: list[Loop] = []
-
-    def extend(seq: list[int]) -> None:
-        last = seq[-1]
-        for f in g.out_edges(g.head(last)):
-            if f == (last ^ 1):
-                continue
-            if f == root and len(seq) >= 2:
-                found.append(Loop(tuple(seq) + (root,)))
-            if len(seq) < max_len:
-                seq.append(f)
-                extend(seq)
-                seq.pop()
-
-    extend([root])
-    return found
-
-
-@lru_cache(maxsize=64)
-def _all_rooted_loops(g: EmbeddedGraph, max_len: int) -> tuple[Loop, ...]:
-    loops: list[Loop] = []
-    for root in range(g.num_directed):
-        loops.extend(_collect_rooted_loops(g, max_len, root))
-    return tuple(loops)
+    return [Walk(tuple(seq)) for seq in _walks(g, max_len, start)]
 
 
 def enumerate_rooted_loops(
@@ -246,11 +223,19 @@ def enumerate_rooted_loops(
     order per root, roots ascending.
     """
     _check_len_cap(max_len)
-    if root is None:
-        return list(_all_rooted_loops(g, max_len))
-    if not 0 <= root < g.num_directed:
+    if root is not None and not 0 <= root < g.num_directed:
         raise ValueError(f"root edge {root} out of range")
-    return _collect_rooted_loops(g, max_len, root)
+    walks = _walks(g, max_len, root)
+    return [Loop(tuple(s)) for s in walks if len(s) > 2 and s[-1] == s[0]]
+
+
+def _traces(g: EmbeddedGraph, max_n: int) -> Iterator[complex]:
+    """trace(transition^n) for n = 1..max_n, from dense matrix powers."""
+    m = build_transition_matrix(g).entries
+    power = np.eye(m.shape[0], dtype=np.complex128)
+    for _ in range(max_n):
+        power = power @ m
+        yield complex(np.trace(power))
 
 
 def truncated_loop_sum(g: EmbeddedGraph, max_n: int) -> complex:
@@ -264,12 +249,9 @@ def truncated_loop_sum(g: EmbeddedGraph, max_n: int) -> complex:
         raise ValueError(
             "weights outside the convergence radius max|x| < 1/(max_degree - 1)"
         )
-    m = build_transition_matrix(g).entries
     total = 0.0 + 0.0j
-    power = np.eye(m.shape[0], dtype=np.complex128)
-    for n in range(1, max_n + 1):
-        power = power @ m
-        total += complex(np.trace(power)) / n
+    for n, trace in enumerate(_traces(g, max_n), 1):
+        total += trace / n
     return total
 
 
@@ -335,6 +317,31 @@ class GenericCancellationReport:
     bound: float
 
 
+Weighed = list[tuple[Loop, WalkWeight]]
+
+
+def _generic_scan(
+    g: EmbeddedGraph, weighed: Weighed, e: int, max_n: int
+) -> GenericCancellationReport:
+    """``verify_generic_cancellation`` at ``e`` from the weighed loops up to ``max_n``."""
+    rev = e ^ 1
+    wsum = 0.0 + 0.0j
+    single = 0.0 + 0.0j
+    for l, ww in weighed:
+        body = l.steps[:-1]
+        if rev in body or e not in body:
+            continue
+        wsum += ww.value / l.length
+        if l.first == e and body.count(e) == 1:
+            single += ww.value
+    lhs = cmath.exp(-wsum)
+    rhs = 1.0 - single
+    rho, top = _contraction(g)
+    c = 2 * g.num_edges * max(1.0, top)
+    bound = c * rho ** (max_n + 1) / (1.0 - rho) if rho > 0 else 0.0
+    return GenericCancellationReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), bound=bound)
+
+
 def verify_generic_cancellation(
     g: EmbeddedGraph, e: int, max_n: int
 ) -> GenericCancellationReport:
@@ -349,29 +356,10 @@ def verify_generic_cancellation(
     _check_len_cap(max_n)
     if not 0 <= e < g.num_directed:
         raise ValueError(f"directed edge {e} out of range")
-    delta = max_degree(g)
-    top = max((abs(edge.weight) for edge in g.edges), default=0.0)
-    rho = max(delta - 1, 0) * top
-    if rho >= 1.0:
+    if not check_convergence_radius(g):
         raise ValueError(
-            f"outside convergence radius: (max_degree - 1) * max|x| = {rho:.3g} >= 1"
+            "outside convergence radius: (max_degree - 1) * max|x| = "
+            f"{_contraction(g)[0]:.3g} >= 1"
         )
-    loops = _all_rooted_loops(g, max_n)
-    rev = e ^ 1
-    wsum = 0.0 + 0.0j
-    single = 0.0 + 0.0j
-    for l in loops:
-        body = l.steps[:-1]
-        if rev in body or e not in body:
-            continue
-        lam = walk_weight(g, l).value
-        wsum += lam / l.length
-        if l.first == e and body.count(e) == 1:
-            single += lam
-    lhs = cmath.exp(-wsum)
-    rhs = 1.0 - single
-    c = 2 * g.num_edges * max(1.0, top)
-    bound = c * rho ** (max_n + 1) / (1.0 - rho) if rho > 0 else 0.0
-    return GenericCancellationReport(
-        lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), bound=bound
-    )
+    weighed = [(l, walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_n)]
+    return _generic_scan(g, weighed, e, max_n)

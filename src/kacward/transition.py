@@ -175,10 +175,12 @@ def partition_function_kw(source: EmbeddedGraph | DetResult) -> float:
     return _sqrt_det(source)
 
 
-def check_convergence_radius(g: EmbeddedGraph) -> bool:
-    """True iff max |weight| < 1 / (max_degree - 1); trivially true for degree <= 1."""
-    delta = max_degree(g)
-    if delta <= 1:
-        return True
+def _contraction(g: EmbeddedGraph) -> tuple[float, float]:
+    """(rho, max|x|), rho = (max_degree - 1) * max|x| the loop series' contraction."""
     top = max((abs(e.weight) for e in g.edges), default=0.0)
-    return top < 1.0 / (delta - 1)
+    return max(max_degree(g) - 1, 0) * top, top
+
+
+def check_convergence_radius(g: EmbeddedGraph) -> bool:
+    """True iff (max_degree - 1) * max|weight| < 1; trivially true for degree <= 1."""
+    return _contraction(g)[0] < 1.0

@@ -14,16 +14,20 @@ import numpy as np
 from .decoration import decorate
 from .graph import EmbeddedGraph, max_degree
 from .loops import (
+    Walk,
+    Weighed,
+    _generic_scan,
+    _traces,
+    _walks,
     concat,
     enumerate_rooted_loops,
     enumerate_walks,
     is_self_avoiding,
     reverse_walk,
-    verify_generic_cancellation,
     walk_weight,
 )
 from .oracle import partition_function_oracle
-from .transition import build_transition_matrix
+from .transition import build_transition_matrix, check_convergence_radius
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,9 @@ def _check_kw_vs_oracle(g: EmbeddedGraph, corrupt: bool) -> CheckResult:
     )
 
 
-def _check_weight_properties(g: EmbeddedGraph, max_len: int) -> CheckResult:
+def _check_weight_properties(
+    g: EmbeddedGraph, max_len: int, weighed: Weighed
+) -> CheckResult:
     name = "weight-properties"
     walks = enumerate_walks(g, max(max_len // 2, 1))
     weight_of = {w.steps: walk_weight(g, w).value for w in walks}
@@ -85,11 +91,11 @@ def _check_weight_properties(g: EmbeddedGraph, max_len: int) -> CheckResult:
                 )
 
     # Walks from an edge to its reversal are purely imaginary and
-    # reversal-antisymmetric.
-    deep_walks = enumerate_walks(g, max_len)
-    for w in deep_walks:
-        if w.last != (w.first ^ 1):
+    # reversal-antisymmetric; only those walks are built.
+    for seq in _walks(g, max_len, None):
+        if seq[-1] != (seq[0] ^ 1):
             continue
+        w = Walk(tuple(seq))
         lam = walk_weight(g, w).value
         lam_rev = walk_weight(g, reverse_walk(w)).value
         tol = 1e-12 * max(1.0, abs(lam))
@@ -103,8 +109,7 @@ def _check_weight_properties(g: EmbeddedGraph, max_len: int) -> CheckResult:
 
     # Loops are real and reversal-symmetric; self-avoiding loops weigh
     # minus their edge product.
-    for l in enumerate_rooted_loops(g, max_len):
-        ww = walk_weight(g, l)
+    for l, ww in weighed:
         lam_rev = walk_weight(g, reverse_walk(l)).value
         tol = 1e-12 * max(1.0, abs(ww.value))
         if abs(ww.value.imag) > tol or abs(ww.value - lam_rev) > tol:
@@ -124,14 +129,13 @@ def _check_weight_properties(g: EmbeddedGraph, max_len: int) -> CheckResult:
     return CheckResult(name, True, f"walk/loop lengths up to {max_len}")
 
 
-def _check_specific_cancellation(g: EmbeddedGraph, max_len: int) -> CheckResult:
+def _check_specific_cancellation(weighed: Weighed) -> CheckResult:
     name = "specific-cancellation"
-    loops = enumerate_rooted_loops(g, max_len)
     sums: dict[tuple[int, int], complex] = {}
     mags: dict[tuple[int, int], float] = {}
-    for l in loops:
+    for l, ww in weighed:
         body = set(l.steps[:-1])
-        lam = walk_weight(g, l).value
+        lam = ww.value
         for k in {s >> 1 for s in body}:
             if 2 * k in body and 2 * k + 1 in body:
                 for e in (2 * k, 2 * k + 1):
@@ -159,18 +163,16 @@ def _check_specific_cancellation(g: EmbeddedGraph, max_len: int) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _check_generic_cancellation(g: EmbeddedGraph, max_len: int) -> CheckResult:
+def _check_generic_cancellation(
+    g: EmbeddedGraph, max_len: int, weighed: Weighed
+) -> CheckResult:
     name = "generic-cancellation"
-    delta = max_degree(g)
-    top = max((abs(e.weight) for e in g.edges), default=0.0)
-    if max(delta - 1, 0) * top >= 1.0:
-        return CheckResult(
-            name, None, "skipped: weights outside the convergence radius"
-        )
+    if not check_convergence_radius(g):
+        return CheckResult(name, None, "skipped: weights outside the convergence radius")
     worst_gap = 0.0
     worst_edge = -1
     for e in range(g.num_directed):
-        report = verify_generic_cancellation(g, e, max_len)
+        report = _generic_scan(g, weighed, e, max_len)
         if report.gap > report.bound:
             return CheckResult(
                 name,
@@ -185,18 +187,15 @@ def _check_generic_cancellation(g: EmbeddedGraph, max_len: int) -> CheckResult:
     )
 
 
-def _check_trace_identity(g: EmbeddedGraph, max_len: int) -> CheckResult:
+def _check_trace_identity(g: EmbeddedGraph, max_len: int, weighed: Weighed) -> CheckResult:
     name = "trace-identity"
     top = min(8, max_len)
-    m = build_transition_matrix(g).entries
     loop_sums = {n: 0.0 + 0.0j for n in range(1, top + 1)}
-    for l in enumerate_rooted_loops(g, top):
-        loop_sums[l.length] += walk_weight(g, l).value
-    power = np.eye(m.shape[0], dtype=complex)
+    for l, ww in weighed:
+        if l.length <= top:
+            loop_sums[l.length] += ww.value
     worst = 0.0
-    for n in range(1, top + 1):
-        power = power @ m
-        trace = complex(np.trace(power))
+    for n, trace in enumerate(_traces(g, top), 1):
         diff = abs(trace - loop_sums[n])
         worst = max(worst, diff)
         if diff > 1e-11 * max(1.0, abs(trace)):
@@ -229,12 +228,17 @@ def _check_decoration(g: EmbeddedGraph) -> CheckResult:
 def run_suite(
     g: EmbeddedGraph, max_len: int, corrupt_transition: bool = False
 ) -> list[CheckResult]:
-    """Run every check; ``corrupt_transition`` injects a deliberate fault."""
+    """Run every check; ``corrupt_transition`` injects a deliberate fault.
+
+    The loop checks share one enumeration of the rooted loops, each weighed once.
+    """
+    kw = _check_kw_vs_oracle(g, corrupt_transition)
+    weighed = [(l, walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_len)]
     return [
-        _check_kw_vs_oracle(g, corrupt_transition),
-        _check_weight_properties(g, max_len),
-        _check_specific_cancellation(g, max_len),
-        _check_generic_cancellation(g, max_len),
-        _check_trace_identity(g, max_len),
+        kw,
+        _check_weight_properties(g, max_len, weighed),
+        _check_specific_cancellation(weighed),
+        _check_generic_cancellation(g, max_len, weighed),
+        _check_trace_identity(g, max_len, weighed),
         _check_decoration(g),
     ]

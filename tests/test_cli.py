@@ -424,6 +424,62 @@ def test_import_and_verify_leave_scipy_unloaded(bowtie_file):
     assert proc.stdout.strip() == "0 []"
 
 
+# -- validation --------------------------------------------------------------------
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Graphs passed to ``kacward.graph.validate_embedding`` during the test."""
+    from kacward import graph
+
+    real = graph.validate_embedding
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "validate_embedding", counting)
+    return calls
+
+
+QUERIES = [["z"], ["det"], ["ising", "--beta", "0.3"], ["decorate"]]
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_each_query_validates_once(capsys, triangle_file, validated, query):
+    code, _, _ = run(capsys, query[0], triangle_file, *query[1:])
+    assert code == 0
+    assert len(validated) == 1
+
+
+def test_decorate_validates_input_and_output_once_each(capsys, bowtie_file, validated):
+    from kacward import max_degree
+
+    code, _, _ = run(capsys, "decorate", bowtie_file)
+    assert code == 0
+    assert len(validated) == 2
+    assert validated[0].vertices == load_graph(bowtie_file).vertices
+    assert max_degree(validated[1]) == 3
+
+
+@pytest.mark.parametrize("query", QUERIES + [["verify"]])
+def test_crossing_exits_3_on_every_command(capsys, crossing_file, query):
+    code, out, err = run(capsys, query[0], crossing_file, *query[1:])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "kacward: error[embedding]: invalid embedding: 1 violation(s), "
+        "first: crossing on edges (0, 1)\n"
+    )
+
+
+def test_ising_reports_a_bad_parameter_before_a_bad_drawing(capsys, crossing_file):
+    code, _, err = run(capsys, "ising", crossing_file, "--beta", "nan")
+    assert code == 2
+    assert err == "kacward: error[parse]: beta must be finite\n"
+
+
 # -- dispatch ------------------------------------------------------------------------
 
 

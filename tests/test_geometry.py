@@ -288,3 +288,28 @@ def test_violation_order_is_kind_then_index():
         Violation("crossing", (2, 3)),
         Violation("vertex_on_edge", (3,), vertex=8),
     )
+
+
+# -- the verdict cache --------------------------------------------------------------
+
+
+def test_beta_sweep_validates_the_geometry_once():
+    from kacward import gen_square, ising_partition_kw, uniform_ising
+
+    g = gen_square(6, 4, 0.5)
+    _validate_geometry.cache_clear()
+    for beta in np.linspace(0.1, 0.8, 8):
+        ising_partition_kw(uniform_ising(g, float(beta)))
+    info = _validate_geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
+def test_verdict_cache_stays_small():
+    from kacward import gen_square
+
+    bound = _validate_geometry.cache_parameters()["maxsize"]
+    assert bound <= 8
+    _validate_geometry.cache_clear()
+    for width in range(1, bound + 5):
+        assert validate_embedding(gen_square(width, 1, 0.5)).ok
+    assert _validate_geometry.cache_info().currsize == bound

@@ -233,6 +233,97 @@ def test_enumeration_deterministic_and_capped():
         enumerate_walks(g, 17)
 
 
+# Reference enumerators: the former recursive depth-first searches, one for
+# walks and one for the loops rooted at one edge, kept here to pin the shared
+# walk generator's output and order.
+def reference_walks(g, max_len, root):
+    out = []
+
+    def extend(seq):
+        out.append(tuple(seq))
+        if len(seq) > max_len:
+            return
+        last = seq[-1]
+        for f in g.out_edges(g.head(last)):
+            if f == (last ^ 1):
+                continue
+            seq.append(f)
+            extend(seq)
+            seq.pop()
+
+    extend([root])
+    return out
+
+
+def reference_loops(g, max_len, root):
+    found = []
+
+    def extend(seq):
+        last = seq[-1]
+        for f in g.out_edges(g.head(last)):
+            if f == (last ^ 1):
+                continue
+            if f == root and len(seq) >= 2:
+                found.append(tuple(seq) + (root,))
+            if len(seq) < max_len:
+                seq.append(f)
+                extend(seq)
+                seq.pop()
+
+    extend([root])
+    return found
+
+
+# Walks of length <= 10 grow like (max_degree - 1)^10; each corpus graph is
+# compared up to the longest length whose walk count stays in this budget.
+REFERENCE_WALK_BUDGET = 1000
+
+
+def walk_counts(g, max_len):
+    """Number of walks of length 0..L, for L = 0..max_len."""
+    ahead = [1] * g.num_directed
+    totals = [g.num_directed]
+    for _ in range(max_len):
+        ahead = [
+            sum(ahead[f] for f in g.out_edges(g.head(d)) if f != (d ^ 1))
+            for d in range(g.num_directed)
+        ]
+        totals.append(totals[-1] + sum(ahead))
+    return totals
+
+
+def test_enumerators_match_reference_dfs(corpus):
+    graphs = [make_triangle(), make_square_cycle(), make_path3(), make_bowtie()]
+    reached_ten = 0
+    for g in graphs + corpus:
+        counts = walk_counts(g, 10)
+        top = max(n for n in range(11) if counts[n] <= REFERENCE_WALK_BUDGET)
+        reached_ten += top == 10
+        for max_len in range(top + 1):
+            all_walks, all_loops = [], []
+            for root in range(g.num_directed):
+                walks = reference_walks(g, max_len, root)
+                loops = reference_loops(g, max_len, root)
+                assert [w.steps for w in enumerate_walks(g, max_len, start=root)] == walks
+                assert [l.steps for l in enumerate_rooted_loops(g, max_len, root=root)] == loops
+                all_walks += walks
+                all_loops += loops
+            assert [w.steps for w in enumerate_walks(g, max_len)] == all_walks
+            assert [l.steps for l in enumerate_rooted_loops(g, max_len)] == all_loops
+            assert len(all_walks) == counts[max_len]
+    assert reached_ten >= 30
+
+
+def test_enumerators_reject_bad_roots():
+    g = make_triangle()
+    with pytest.raises(ValueError, match="start edge 6 out of range"):
+        enumerate_walks(g, 3, start=6)
+    with pytest.raises(ValueError, match="root edge -1 out of range"):
+        enumerate_rooted_loops(g, 3, root=-1)
+    assert [w.steps for w in enumerate_walks(g, -1)] == [(d,) for d in range(6)]
+    assert enumerate_rooted_loops(g, 2) == []
+
+
 # -- multiplicity and visits ----------------------------------------------------
 
 
