@@ -105,12 +105,9 @@ def _cmd_decorate(args) -> int:
 def _cmd_verify(args) -> int:
     g = load_graph(args.file)
     require_valid_embedding(g)
-    max_len = args.max_loop_len
-    if max_len is None:
-        max_len = int(os.environ.get(ENV_MAX_LOOP_LEN, DEFAULT_MAX_LOOP_LEN))
-    results = run_suite(g, max_len, corrupt_transition=args.corrupt_transition)
+    results = run_suite(g, args.max_loop_len, corrupt_transition=args.corrupt_transition)
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
-    print(f"max loop length: {max_len}")
+    print(f"max loop length: {args.max_loop_len}")
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {r.status:<4}  {r.detail}")
@@ -177,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-loop-len",
         type=_positive_int,
-        default=None,
+        default=os.environ.get(ENV_MAX_LOOP_LEN, str(DEFAULT_MAX_LOOP_LEN)),
         help=f"enumeration length cap (default {DEFAULT_MAX_LOOP_LEN}, "
         f"or ${ENV_MAX_LOOP_LEN})",
     )

@@ -321,25 +321,29 @@ Weighed = list[tuple[Loop, WalkWeight]]
 
 
 def _generic_scan(
-    g: EmbeddedGraph, weighed: Weighed, e: int, max_n: int
-) -> GenericCancellationReport:
-    """``verify_generic_cancellation`` at ``e`` from the weighed loops up to ``max_n``."""
-    rev = e ^ 1
-    wsum = 0.0 + 0.0j
-    single = 0.0 + 0.0j
+    g: EmbeddedGraph, weighed: Weighed, max_n: int
+) -> list[GenericCancellationReport]:
+    """``verify_generic_cancellation`` at every directed edge, in one scan of the
+    weighed loops up to ``max_n``; each edge's sums add up in list order."""
+    wsum = [0.0 + 0.0j] * g.num_directed
+    single = [0.0 + 0.0j] * g.num_directed
     for l, ww in weighed:
         body = l.steps[:-1]
-        if rev in body or e not in body:
-            continue
-        wsum += ww.value / l.length
-        if l.first == e and body.count(e) == 1:
-            single += ww.value
-    lhs = cmath.exp(-wsum)
-    rhs = 1.0 - single
+        visited = set(body)
+        share = ww.value / l.length
+        for e in visited:
+            if (e ^ 1) not in visited:
+                wsum[e] += share
+        if (l.first ^ 1) not in visited and body.count(l.first) == 1:
+            single[l.first] += ww.value
     rho, top = _contraction(g)
     c = 2 * g.num_edges * max(1.0, top)
     bound = c * rho ** (max_n + 1) / (1.0 - rho) if rho > 0 else 0.0
-    return GenericCancellationReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), bound=bound)
+    reports = []
+    for s, t in zip(wsum, single):
+        lhs, rhs = cmath.exp(-s), 1.0 - t
+        reports.append(GenericCancellationReport(lhs, rhs, abs(lhs - rhs), bound))
+    return reports
 
 
 def verify_generic_cancellation(
@@ -362,4 +366,4 @@ def verify_generic_cancellation(
             f"{_contraction(g)[0]:.3g} >= 1"
         )
     weighed = [(l, walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_n)]
-    return _generic_scan(g, weighed, e, max_n)
+    return _generic_scan(g, weighed, max_n)[e]

@@ -19,7 +19,6 @@ from .loops import (
     _generic_scan,
     _traces,
     _walks,
-    concat,
     enumerate_rooted_loops,
     enumerate_walks,
     is_self_avoiding,
@@ -69,34 +68,33 @@ def _check_weight_properties(
     g: EmbeddedGraph, max_len: int, weighed: Weighed
 ) -> CheckResult:
     name = "weight-properties"
-    walks = enumerate_walks(g, max(max_len // 2, 1))
-    weight_of = {w.steps: walk_weight(g, w).value for w in walks}
-    by_first: dict[int, list] = {}
-    for w in walks:
-        by_first.setdefault(w.first, []).append(w)
+    half = max(max_len // 2, 1)
+    weight_of = {w.steps: walk_weight(g, w).value for w in enumerate_walks(g, half)}
 
-    # Multiplicativity over composable enumerated pairs (tolerance is
-    # relative with floor 1 so heavy weights do not trip rounding).
-    for w1 in walks:
-        for w2 in by_first.get(w1.last, ()):
-            joined = concat(w1, w2)
-            got = walk_weight(g, joined).value
-            expect = weight_of[w1.steps] * weight_of[w2.steps]
-            if abs(got - expect) > 1e-12 * max(1.0, abs(expect)):
-                return CheckResult(
-                    name,
-                    False,
-                    f"multiplicativity fails for {w1.steps}+{w2.steps}: "
-                    f"|diff| = {_fmt(abs(got - expect))}",
-                )
-
-    # Walks from an edge to its reversal are purely imaginary and
-    # reversal-antisymmetric; only those walks are built.
-    for seq in _walks(g, max_len, None):
-        if seq[-1] != (seq[0] ^ 1):
+    # One pass over the walks.  Each walk of length <= 2 * half is weighed and
+    # compared, at every split into two parts of length <= half, against the
+    # product of the parts' weights (tolerance relative with floor 1, so heavy
+    # weights do not trip rounding).  Walks from an edge to its reversal are
+    # purely imaginary and reversal-antisymmetric.
+    for seq in _walks(g, max(max_len, 2 * half), None):
+        n = len(seq) - 1
+        pair = n <= max_len and seq[-1] == (seq[0] ^ 1)
+        if n > 2 * half and not pair:
             continue
         w = Walk(tuple(seq))
         lam = walk_weight(g, w).value
+        for k in range(max(0, n - half), min(n, half) + 1):
+            head, tail = w.steps[: k + 1], w.steps[k:]
+            expect = weight_of[head] * weight_of[tail]
+            if abs(lam - expect) > 1e-12 * max(1.0, abs(expect)):
+                return CheckResult(
+                    name,
+                    False,
+                    f"multiplicativity fails for {head}+{tail}: "
+                    f"|diff| = {_fmt(abs(lam - expect))}",
+                )
+        if not pair:
+            continue
         lam_rev = walk_weight(g, reverse_walk(w)).value
         tol = 1e-12 * max(1.0, abs(lam))
         if abs(lam.real) > tol or abs(lam + lam_rev) > tol:
@@ -171,8 +169,7 @@ def _check_generic_cancellation(
         return CheckResult(name, None, "skipped: weights outside the convergence radius")
     worst_gap = 0.0
     worst_edge = -1
-    for e in range(g.num_directed):
-        report = _generic_scan(g, weighed, e, max_len)
+    for e, report in enumerate(_generic_scan(g, weighed, max_len)):
         if report.gap > report.bound:
             return CheckResult(
                 name,

@@ -110,6 +110,25 @@ def random_planar_graph(rng: np.random.Generator, max_edges=CORPUS_MAX_EDGES):
             return g
 
 
+# Walks of length <= 10 grow like (max_degree - 1)^10; reference comparisons
+# run each corpus graph only up to the longest length whose walk count stays
+# in this budget.
+REFERENCE_WALK_BUDGET = 1000
+
+
+def walk_counts(g, max_len):
+    """Number of walks of length 0..L, for L = 0..max_len."""
+    ahead = [1] * g.num_directed
+    totals = [g.num_directed]
+    for _ in range(max_len):
+        ahead = [
+            sum(ahead[f] for f in g.out_edges(g.head(d)) if f != (d ^ 1))
+            for d in range(g.num_directed)
+        ]
+        totals.append(totals[-1] + sum(ahead))
+    return totals
+
+
 @pytest.fixture(scope="session")
 def corpus():
     rng = np.random.default_rng(CORPUS_SEED)

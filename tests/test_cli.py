@@ -393,6 +393,31 @@ def test_verify_flag_overrides_env(capsys, triangle_file, monkeypatch):
     assert "max loop length: 9" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_verify_rejects_a_bad_env_length(capsys, triangle_file, monkeypatch, value):
+    monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", triangle_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-loop-len" in captured.err
+
+
+def test_verify_rejects_a_zero_length_flag(capsys, triangle_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", triangle_file, "--max-loop-len", "0"])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_flag_overrides_a_bad_env_value(capsys, triangle_file, monkeypatch):
+    monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", "0")
+    code, out, _ = run(capsys, "verify", triangle_file, "--max-loop-len", "5")
+    assert code == 0
+    assert "max loop length: 5" in out
+
+
 def test_verify_outside_radius_skips_generic_check(capsys, tmp_path):
     # Heavy weights put the graph outside the convergence radius; the
     # factorization identity cannot be truncation-tested there, so that

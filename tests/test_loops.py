@@ -25,10 +25,12 @@ from kacward import (
     walk_weight,
 )
 from conftest import (
+    REFERENCE_WALK_BUDGET,
     make_bowtie,
     make_path3,
     make_square_cycle,
     make_triangle,
+    walk_counts,
 )
 
 
@@ -272,24 +274,6 @@ def reference_loops(g, max_len, root):
 
     extend([root])
     return found
-
-
-# Walks of length <= 10 grow like (max_degree - 1)^10; each corpus graph is
-# compared up to the longest length whose walk count stays in this budget.
-REFERENCE_WALK_BUDGET = 1000
-
-
-def walk_counts(g, max_len):
-    """Number of walks of length 0..L, for L = 0..max_len."""
-    ahead = [1] * g.num_directed
-    totals = [g.num_directed]
-    for _ in range(max_len):
-        ahead = [
-            sum(ahead[f] for f in g.out_edges(g.head(d)) if f != (d ^ 1))
-            for d in range(g.num_directed)
-        ]
-        totals.append(totals[-1] + sum(ahead))
-    return totals
 
 
 def test_enumerators_match_reference_dfs(corpus):
