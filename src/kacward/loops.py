@@ -11,6 +11,15 @@ its steps, which factors as ``exp(i * turning_sum / 2) * edge_product`` with
 the product of traversed edge weights.  The final entry of the sequence is
 not traversed, so its weight and no further angle enter the product.
 
+Enumeration: one depth-first walk generator, ``_walks``, reads a step table
+built from the graph beforehand: for each directed edge d, its
+non-backtracking continuations f with ``turning_angle(g, d, f)``, and the
+weight x_d.  It keeps prefix stacks of the turning sum and the edge product,
+so each walk comes with its weight at O(1) cost per step; the sums run in
+walk order, so they are the same floats that ``walk_weight`` returns.  The
+enumerators that ignore weights build the table without angles, so they
+also run on graphs with zero-length edges.
+
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
 """
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,6 +116,11 @@ def _check_in_graph(g: EmbeddedGraph, w: Walk) -> None:
             raise ValueError(f"steps {a} -> {b} are not consecutive")
 
 
+def _value(turning: float, product: float) -> complex:
+    """A walk's complex weight from its turning sum and edge product."""
+    return cmath.exp(0.5j * turning) * product
+
+
 def walk_weight(g: EmbeddedGraph, w: Walk) -> WalkWeight:
     """Evaluate the walk weight; the empty walk (length 0) weighs (1, 0, 1)."""
     _check_in_graph(g, w)
@@ -115,11 +129,7 @@ def walk_weight(g: EmbeddedGraph, w: Walk) -> WalkWeight:
     for a, b in zip(w.steps, w.steps[1:]):
         turning += turning_angle(g, a, b)
         product *= g.directed_weight(a)
-    return WalkWeight(
-        value=cmath.exp(0.5j * turning) * product,
-        turning_sum=turning,
-        edge_product=product,
-    )
+    return WalkWeight(_value(turning, product), turning, product)
 
 
 def _promote(steps: tuple[int, ...]) -> Walk:
@@ -137,9 +147,13 @@ def concat(w1: Walk, w2: Walk) -> Walk:
     return _promote(w1.steps + w2.steps[1:])
 
 
+def _reverse_steps(steps: Sequence[int]) -> tuple[int, ...]:
+    return tuple((s ^ 1) for s in reversed(steps))
+
+
 def reverse_walk(w: Walk) -> Walk:
     """Traverse the walk backwards along reversed directed edges."""
-    return _promote(tuple((s ^ 1) for s in reversed(w.steps)))
+    return _promote(_reverse_steps(w.steps))
 
 
 def is_self_avoiding(g: EmbeddedGraph, l: Loop) -> bool:
@@ -178,25 +192,67 @@ def _check_len_cap(max_len: int) -> None:
         )
 
 
-def _walks(g: EmbeddedGraph, max_len: int, root: int | None) -> Iterator[list[int]]:
+class _StepTable(NamedTuple):
+    """``turns[d]``: {f: turning_angle(g, d, f)} over the non-backtracking
+    continuations f of directed edge d, in ascending id order; ``x[d]``: x_d."""
+
+    turns: list[dict[int, float]]
+    x: list[float]
+
+
+def _step_table(g: EmbeddedGraph, weigh: bool) -> _StepTable:
+    """The step table of ``g``; without ``weigh`` every angle is 0.0 and none is
+    computed."""
+    turns = [
+        {
+            f: turning_angle(g, d, f) if weigh else 0.0
+            for f in g.out_edges(g.head(d))
+            if f != (d ^ 1)
+        }
+        for d in range(g.num_directed)
+    ]
+    return _StepTable(turns, [g.directed_weight(d) for d in range(g.num_directed)])
+
+
+def _table_weight(table: _StepTable, steps: Sequence[int]) -> tuple[float, float]:
+    """(turning_sum, edge_product) of the walk ``steps``, summed in walk order."""
+    turning = 0.0
+    product = 1.0
+    for a, b in zip(steps, steps[1:]):
+        turning += table.turns[a][b]
+        product *= table.x[a]
+    return turning, product
+
+
+def _walks(
+    table: _StepTable, max_len: int, root: int | None
+) -> Iterator[tuple[list[int], float, float]]:
     """Every walk of length 0..max_len from ``root`` (or from each edge in turn), in
     lexicographic step order: a walk comes just before its extensions.  Yields one
-    step list, extended and shrunk in place; copy it to keep it."""
-    succ = [
-        [f for f in g.out_edges(g.head(d)) if f != (d ^ 1)] for d in range(g.num_directed)
-    ]
+    step list, extended and shrunk in place (copy it to keep it), with the walk's
+    turning sum and edge product."""
+    turns, x = table
     seq: list[int] = []
-    pending = [iter(range(g.num_directed) if root is None else (root,))]
+    turning = [0.0]  # turning[k]: the turning sum of the walk seq[:k]
+    product = [1.0]  # product[k]: x over seq[:k], the edge product of its extensions
+    starts = range(len(x)) if root is None else (root,)
+    pending = [((d, 0.0) for d in starts)]
     while pending:  # pending[k]: the untried steps after the first k of seq
-        for f in pending[-1]:
+        for f, angle in pending[-1]:
+            t = turning[-1] + angle
+            p = product[-1]
             seq.append(f)
-            yield seq
-            pending.append(iter(succ[f] if len(seq) <= max_len else ()))
+            yield seq, t, p
+            turning.append(t)
+            product.append(p * x[f])
+            pending.append(iter(turns[f].items() if len(seq) <= max_len else ()))
             break
         else:
             pending.pop()
             if seq:
                 seq.pop()
+                turning.pop()
+                product.pop()
 
 
 def enumerate_walks(
@@ -210,7 +266,8 @@ def enumerate_walks(
     _check_len_cap(max_len)
     if start is not None and not 0 <= start < g.num_directed:
         raise ValueError(f"start edge {start} out of range")
-    return [Walk(tuple(seq)) for seq in _walks(g, max_len, start)]
+    walks = _walks(_step_table(g, weigh=False), max_len, start)
+    return [Walk(tuple(seq)) for seq, _, _ in walks]
 
 
 def enumerate_rooted_loops(
@@ -225,8 +282,8 @@ def enumerate_rooted_loops(
     _check_len_cap(max_len)
     if root is not None and not 0 <= root < g.num_directed:
         raise ValueError(f"root edge {root} out of range")
-    walks = _walks(g, max_len, root)
-    return [Loop(tuple(s)) for s in walks if len(s) > 2 and s[-1] == s[0]]
+    walks = _walks(_step_table(g, weigh=False), max_len, root)
+    return [Loop(tuple(s)) for s, _, _ in walks if len(s) > 2 and s[-1] == s[0]]
 
 
 def _traces(g: EmbeddedGraph, max_n: int) -> Iterator[complex]:
@@ -320,6 +377,15 @@ class GenericCancellationReport:
 Weighed = list[tuple[Loop, WalkWeight]]
 
 
+def _weighed_loops(walks: Iterable[tuple[list[int], float, float]]) -> Weighed:
+    """The loops among ``walks``, as ``_walks`` yields them, each with its weight."""
+    return [
+        (Loop(tuple(s)), WalkWeight(_value(t, p), t, p))
+        for s, t, p in walks
+        if len(s) > 2 and s[-1] == s[0]
+    ]
+
+
 def _generic_scan(
     g: EmbeddedGraph, weighed: Weighed, max_n: int
 ) -> list[GenericCancellationReport]:
@@ -365,5 +431,5 @@ def verify_generic_cancellation(
             "outside convergence radius: (max_degree - 1) * max|x| = "
             f"{_contraction(g)[0]:.3g} >= 1"
         )
-    weighed = [(l, walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_n)]
+    weighed = _weighed_loops(_walks(_step_table(g, weigh=True), max_n, None))
     return _generic_scan(g, weighed, max_n)[e]

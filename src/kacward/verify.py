@@ -14,16 +14,17 @@ import numpy as np
 from .decoration import decorate
 from .graph import EmbeddedGraph, max_degree
 from .loops import (
-    Walk,
     Weighed,
     _generic_scan,
+    _reverse_steps,
+    _step_table,
+    _StepTable,
+    _table_weight,
     _traces,
+    _value,
     _walks,
-    enumerate_rooted_loops,
-    enumerate_walks,
+    _weighed_loops,
     is_self_avoiding,
-    reverse_walk,
-    walk_weight,
 )
 from .oracle import partition_function_oracle
 from .transition import build_transition_matrix, check_convergence_radius
@@ -65,26 +66,26 @@ def _check_kw_vs_oracle(g: EmbeddedGraph, corrupt: bool) -> CheckResult:
 
 
 def _check_weight_properties(
-    g: EmbeddedGraph, max_len: int, weighed: Weighed
+    g: EmbeddedGraph, max_len: int, weighed: Weighed, table: _StepTable
 ) -> CheckResult:
     name = "weight-properties"
     half = max(max_len // 2, 1)
-    weight_of = {w.steps: walk_weight(g, w).value for w in enumerate_walks(g, half)}
+    weight_of = {tuple(seq): _value(t, p) for seq, t, p in _walks(table, half, None)}
 
-    # One pass over the walks.  Each walk of length <= 2 * half is weighed and
-    # compared, at every split into two parts of length <= half, against the
-    # product of the parts' weights (tolerance relative with floor 1, so heavy
-    # weights do not trip rounding).  Walks from an edge to its reversal are
-    # purely imaginary and reversal-antisymmetric.
-    for seq in _walks(g, max(max_len, 2 * half), None):
+    # One pass over the walks.  Each walk of length <= 2 * half is compared, at
+    # every split into two parts of length <= half, against the product of the
+    # parts' weights (tolerance relative with floor 1, so heavy weights do not
+    # trip rounding).  Walks from an edge to its reversal are purely imaginary
+    # and reversal-antisymmetric; the reversal is weighed from the step table.
+    for seq, t, p in _walks(table, max(max_len, 2 * half), None):
         n = len(seq) - 1
         pair = n <= max_len and seq[-1] == (seq[0] ^ 1)
         if n > 2 * half and not pair:
             continue
-        w = Walk(tuple(seq))
-        lam = walk_weight(g, w).value
+        steps = tuple(seq)
+        lam = _value(t, p)
         for k in range(max(0, n - half), min(n, half) + 1):
-            head, tail = w.steps[: k + 1], w.steps[k:]
+            head, tail = steps[: k + 1], steps[k:]
             expect = weight_of[head] * weight_of[tail]
             if abs(lam - expect) > 1e-12 * max(1.0, abs(expect)):
                 return CheckResult(
@@ -95,20 +96,21 @@ def _check_weight_properties(
                 )
         if not pair:
             continue
-        lam_rev = walk_weight(g, reverse_walk(w)).value
+        lam_rev = _value(*_table_weight(table, _reverse_steps(steps)))
         tol = 1e-12 * max(1.0, abs(lam))
         if abs(lam.real) > tol or abs(lam + lam_rev) > tol:
             return CheckResult(
                 name,
                 False,
-                f"reversal-pair walk {w.steps}: re = {_fmt(abs(lam.real))}, "
+                f"reversal-pair walk {steps}: re = {_fmt(abs(lam.real))}, "
                 f"|lam + lam_rev| = {_fmt(abs(lam + lam_rev))}",
             )
 
     # Loops are real and reversal-symmetric; self-avoiding loops weigh
-    # minus their edge product.
+    # minus their edge product.  A loop's reversal is itself a weighed loop.
+    loop_weight = {l.steps: ww.value for l, ww in weighed}
     for l, ww in weighed:
-        lam_rev = walk_weight(g, reverse_walk(l)).value
+        lam_rev = loop_weight[_reverse_steps(l.steps)]
         tol = 1e-12 * max(1.0, abs(ww.value))
         if abs(ww.value.imag) > tol or abs(ww.value - lam_rev) > tol:
             return CheckResult(
@@ -227,13 +229,15 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check; ``corrupt_transition`` injects a deliberate fault.
 
-    The loop checks share one enumeration of the rooted loops, each weighed once.
+    Every walk weight comes from one step table, as the walk generator reaches
+    the walk; the loop checks share one weighed enumeration of the rooted loops.
     """
     kw = _check_kw_vs_oracle(g, corrupt_transition)
-    weighed = [(l, walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_len)]
+    table = _step_table(g, weigh=True)
+    weighed = _weighed_loops(_walks(table, max_len, None))
     return [
         kw,
-        _check_weight_properties(g, max_len, weighed),
+        _check_weight_properties(g, max_len, weighed, table),
         _check_specific_cancellation(weighed),
         _check_generic_cancellation(g, max_len, weighed),
         _check_trace_identity(g, max_len, weighed),

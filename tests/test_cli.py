@@ -24,7 +24,7 @@ from kacward import (
     partition_function_oracle,
 )
 from kacward.cli import main
-from conftest import make_bowtie, make_path3, make_triangle
+from conftest import make_bowtie, make_path3, make_triangle, make_wheel
 
 
 def run(capsys, *argv):
@@ -364,6 +364,48 @@ def test_verify_deterministic(capsys, bowtie_file):
     _, out1, _ = run(capsys, "verify", bowtie_file, "--max-loop-len", "8")
     _, out2, _ = run(capsys, "verify", bowtie_file, "--max-loop-len", "8")
     assert out1 == out2
+
+
+GOLDEN_VERIFY_BOWTIE_10 = """\
+graph: 5 vertices, 6 edges
+max loop length: 10
+kw-vs-oracle           pass  |det - Z^2| = 5.761e-19 (tol 1.015e-09)
+weight-properties      pass  walk/loop lengths up to 10
+specific-cancellation  pass  0 (edge, length) classes
+generic-cancellation   pass  worst gap = 1.564e-10 (edge 0)
+trace-identity         pass  lengths 1..8, worst diff = 6.969e-18
+decoration             pass  |Z - Z_decorated| = 0.000e+00 (tol 1.007e-12)
+result: all checks passed
+"""
+
+GOLDEN_VERIFY_WHEEL_7 = """\
+graph: 7 vertices, 12 edges
+max loop length: 7
+kw-vs-oracle           pass  |det - Z^2| = 6.661e-16 (tol 1.048e-09)
+weight-properties      pass  walk/loop lengths up to 7
+specific-cancellation  pass  0 (edge, length) classes
+generic-cancellation   pass  worst gap = 1.647e-06 (edge 12)
+trace-identity         pass  lengths 1..7, worst diff = 8.327e-17
+decoration             pass  |Z - Z_decorated| = 0.000e+00 (tol 1.024e-12)
+result: all checks passed
+"""
+
+
+@pytest.mark.parametrize(
+    "graph, length, golden",
+    [
+        (make_bowtie(weights=[0.1, 0.25, 0.2, 0.3, 0.15, 0.05]), 10, GOLDEN_VERIFY_BOWTIE_10),
+        (make_wheel(6, 0.15), 7, GOLDEN_VERIFY_WHEEL_7),
+    ],
+    ids=["bowtie-10", "wheel-7"],
+)
+def test_verify_golden(capsys, tmp_path, graph, length, golden):
+    # The figures in the details are sums of loop weights in enumeration
+    # order, so a change in how walks are weighed or ordered shows here.
+    path = tmp_path / "graph.json"
+    dump_graph(graph, path)
+    code, out, err = run(capsys, "verify", str(path), "--max-loop-len", str(length))
+    assert (code, out, err) == (0, golden, "")
 
 
 def test_verify_corrupted_transition_fails(capsys, triangle_file):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kacward import (
+    EmbeddedGraph,
     Loop,
     Walk,
     build_transition_matrix,
@@ -17,10 +18,12 @@ from kacward import (
     is_self_avoiding,
     kac_ward_determinant,
     loop_stats,
+    loops,
     multiplicity,
     reverse_walk,
     specific_cancellation_involution,
     truncated_loop_sum,
+    validate_embedding,
     verify_generic_cancellation,
     walk_weight,
 )
@@ -306,6 +309,59 @@ def test_enumerators_reject_bad_roots():
         enumerate_rooted_loops(g, 3, root=-1)
     assert [w.steps for w in enumerate_walks(g, -1)] == [(d,) for d in range(6)]
     assert enumerate_rooted_loops(g, 2) == []
+
+
+def prefix_weight_mismatches(g, max_len, table):
+    """Walks up to ``max_len`` whose weight from the walk generator differs in any
+    bit from ``walk_weight``."""
+    bad = []
+    for seq, turning, product in loops._walks(table, max_len, None):
+        ww = walk_weight(g, Walk(tuple(seq)))
+        got = (loops._value(turning, product), turning, product)
+        if got != (ww.value, ww.turning_sum, ww.edge_product):
+            bad.append(tuple(seq))
+    return bad
+
+
+def budgeted_lengths(corpus):
+    """(graph, L): the longest L <= 8 whose walk count stays in the budget."""
+    named = [make_triangle(0.25), make_square_cycle(0.3), make_path3(0.4), make_bowtie(0.25)]
+    for g in named + corpus:
+        counts = walk_counts(g, 8)
+        yield g, max(n for n in range(9) if counts[n] <= REFERENCE_WALK_BUDGET)
+
+
+def test_prefix_weights_equal_walk_weight_bit_for_bit(corpus):
+    walks = 0
+    for g, max_len in budgeted_lengths(corpus):
+        assert prefix_weight_mismatches(g, max_len, loops._step_table(g, weigh=True)) == []
+        walks += walk_counts(g, max_len)[max_len]
+    assert walks > 100_000
+
+
+def test_one_changed_angle_breaks_the_prefix_weights():
+    g = make_bowtie(0.25)
+    for d, turns in enumerate(loops._step_table(g, weigh=True).turns):
+        for f, angle in turns.items():
+            table = loops._step_table(g, weigh=True)
+            table.turns[d][f] = math.nextafter(angle, math.inf)
+            assert (d, f) in prefix_weight_mismatches(g, 3, table)
+
+
+def test_enumerators_skip_angles_on_a_zero_length_edge():
+    # A square whose last two corners coincide: EmbeddedGraph accepts it, no
+    # turning angle through the edge between them is defined, and enumeration
+    # needs none.
+    g = EmbeddedGraph(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0)],
+        [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 0, 0.5)],
+    )
+    assert not validate_embedding(g).ok
+    assert len(enumerate_walks(g, 6)) == walk_counts(g, 6)[6]
+    cycles = enumerate_rooted_loops(g, 8)
+    assert [l.length for l in cycles] == [4, 8] * g.num_directed
+    with pytest.raises(ValueError, match="zero-length edge"):
+        walk_weight(g, cycles[0])
 
 
 # -- multiplicity and visits ----------------------------------------------------

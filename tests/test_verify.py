@@ -1,5 +1,6 @@
-"""The check suite behind ``kacward verify``: one shared loop enumeration, and a
-FAIL with its counterexample from each loop check when one loop weight is off."""
+"""The check suite behind ``kacward verify``: one step table and one shared loop
+enumeration, and a FAIL with its counterexample from each loop check when one
+loop weight is off."""
 
 import cmath
 import dataclasses
@@ -35,16 +36,27 @@ def results_by_name(g, max_len):
 
 
 def perturb_loop_weight(monkeypatch, steps):
-    """Make ``verify.walk_weight`` return 1.01 times the weight of one walk."""
-    real = verify.walk_weight
+    """Make the walk generator that ``verify`` weighs with yield 1.01 times the
+    weight of one walk (its edge product scaled)."""
+    real = verify._walks
+
+    def skewed(*args):
+        for seq, turning, product in real(*args):
+            yield seq, turning, (product * 1.01 if tuple(seq) == steps else product)
+
+    monkeypatch.setattr(verify, "_walks", skewed)
+
+
+def skewed_walk_weight(steps):
+    """``walk_weight`` with 1.01 times the weight of one walk, for the references."""
 
     def skewed(g, w):
-        ww = real(g, w)
+        ww = walk_weight(g, w)
         if w.steps == steps:
             return dataclasses.replace(ww, value=ww.value * 1.01)
         return ww
 
-    monkeypatch.setattr(verify, "walk_weight", skewed)
+    return skewed
 
 
 def first_loop(g, max_len, predicate):
@@ -86,17 +98,19 @@ def test_a_skewed_loop_weight_fails_the_check(
 
 
 def test_loops_are_enumerated_once_per_suite(monkeypatch):
-    real = verify.enumerate_rooted_loops
+    real = verify._weighed_loops
     calls = []
 
-    def counting(g, max_len, root=None):
-        calls.append((max_len, root))
-        return real(g, max_len, root)
+    def counting(walks):
+        calls.append(real(walks))
+        return calls[-1]
 
-    monkeypatch.setattr(verify, "enumerate_rooted_loops", counting)
-    results = run_suite(make_bowtie(0.25), 10)
+    monkeypatch.setattr(verify, "_weighed_loops", counting)
+    g = make_bowtie(0.25)
+    results = run_suite(g, 10)
     assert [r.status for r in results] == ["pass"] * 6
-    assert calls == [(10, None)]
+    assert len(calls) == 1
+    assert [l.steps for l, _ in calls[0]] == [l.steps for l in enumerate_rooted_loops(g, 10)]
 
 
 def test_generic_check_agrees_with_the_public_function():
@@ -150,35 +164,54 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_suite_weighs_each_walk_once(monkeypatch):
+    # Weights come from the walk generator as it reaches each walk, and the
+    # reversal-pair walks' reversals from the step table; no walk is weighed
+    # by ``walk_weight``.
     g = make_bowtie(0.25)
     walks = enumerate_walks(g, 10)
     expected = (
-        len(enumerate_walks(g, 5))  # the half-walk table
+        len(walks)  # the loop pass up to 10
+        + len(enumerate_walks(g, 5))  # the half-walk table
         + len(walks)  # the pass over walks up to 2 * 5
-        + sum(w.last == w.first ^ 1 for w in walks)  # their reversals
-        + 2 * len(enumerate_rooted_loops(g, 10))  # each loop and its reversal
     )
-    calls = count_calls(monkeypatch, verify, "walk_weight")
+    real = verify._walks
+    drawn = []
+
+    def counting(*args):
+        for item in real(*args):
+            drawn.append(tuple(item[0]))
+            yield item
+
+    monkeypatch.setattr(verify, "_walks", counting)
+    weighs = count_calls(monkeypatch, loops, "walk_weight")
+    # walk_weight validates every walk it weighs, however it is reached.
+    validations = count_calls(monkeypatch, loops, "_check_in_graph")
+    reversals = count_calls(monkeypatch, verify, "_table_weight")
     run_suite(g, 10)
-    assert len(calls) == expected == 2300
+    assert (len(weighs), len(validations)) == (0, 0)
+    assert len(drawn) == expected == 3528
+    assert len(reversals) == sum(w.last == w.first ^ 1 for w in walks) == 152
 
 
 def test_one_walk_pass_and_one_generic_scan_per_suite(monkeypatch):
+    # Three weighed passes share one step table: the loops up to 9, the
+    # half-walk table up to 4, and the walk pass up to 9.
     passes = count_calls(monkeypatch, verify, "_walks")
-    tables = count_calls(monkeypatch, verify, "enumerate_walks")
+    tables = count_calls(monkeypatch, verify, "_step_table")
     scans = count_calls(monkeypatch, verify, "_generic_scan")
     results = run_suite(make_bowtie(0.25), 9)
     assert [r.status for r in results] == ["pass"] * 6
-    assert (len(passes), len(tables), len(scans)) == (1, 1, 1)
+    assert [args[1:] for args in passes] == [(9, None), (4, None), (9, None)]
+    assert (len(tables), len(scans)) == (1, 1)
+    assert len({id(args[0]) for args in passes}) == 1
 
 
 # Reference checks: the former weight-properties (every composable pair of
 # half-length walks joined with ``concat`` and weighed again, then a second
 # walk traversal for the reversal pairs) and the former per-edge generic
 # scan, kept here to pin the one-pass rewrites.
-def reference_weight_properties(g, max_len, weighed):
+def reference_weight_properties(g, max_len, weighed, weigh=walk_weight):
     name = "weight-properties"
-    weigh = verify.walk_weight
     walks = enumerate_walks(g, max(max_len // 2, 1))
     weight_of = {w.steps: weigh(g, w).value for w in walks}
     by_first = {}
@@ -247,8 +280,12 @@ def reference_generic_scan(g, weighed, e, max_n):
     return GenericCancellationReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), bound=bound)
 
 
-def weighed_loops(g, max_len):
-    return [(l, verify.walk_weight(g, l)) for l in enumerate_rooted_loops(g, max_len)]
+def weighed_loops(g, max_len, weigh=walk_weight):
+    return [(l, weigh(g, l)) for l in enumerate_rooted_loops(g, max_len)]
+
+
+def step_table(g):
+    return loops._step_table(g, weigh=True)
 
 
 def budgeted_cases(corpus):
@@ -262,8 +299,8 @@ def budgeted_cases(corpus):
                 yield g, max_len
 
 
-def test_weight_properties_match_the_pair_loop_reference(monkeypatch, corpus):
-    # Weights depend on the walk alone; both checks read them from one memo.
+def test_weight_properties_match_the_pair_loop_reference(corpus):
+    # Weights depend on the walk alone; the reference reads them from a memo.
     memo = {}
 
     def memo_weight(g, w):
@@ -272,12 +309,11 @@ def test_weight_properties_match_the_pair_loop_reference(monkeypatch, corpus):
             memo[key] = walk_weight(g, w)
         return memo[key]
 
-    monkeypatch.setattr(verify, "walk_weight", memo_weight)
     cases = 0
     for g, max_len in budgeted_cases(corpus):
-        weighed = weighed_loops(g, max_len)
-        new = verify._check_weight_properties(g, max_len, weighed)
-        assert new == reference_weight_properties(g, max_len, weighed)
+        weighed = weighed_loops(g, max_len, memo_weight)
+        new = verify._check_weight_properties(g, max_len, weighed, step_table(g))
+        assert new == reference_weight_properties(g, max_len, weighed, memo_weight)
         cases += 1
     assert cases >= 900
 
@@ -296,14 +332,17 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
     monkeypatch, make, max_len
 ):
     # Both checks make the same comparisons, so skewing any one walk's weight
-    # fails both or neither.
+    # (in the walk generator for the check, in ``walk_weight`` for the
+    # reference, and in the loop list both read) fails both or neither.
     g = make(0.25)
-    weighed = weighed_loops(g, max_len)
+    table = step_table(g)
     statuses = set()
     for target in enumerate_walks(g, max_len):
+        weigh = skewed_walk_weight(target.steps)
+        weighed = weighed_loops(g, max_len, weigh)
         with monkeypatch.context() as m:
             perturb_loop_weight(m, target.steps)
-            new = verify._check_weight_properties(g, max_len, weighed)
-            assert new.status == reference_weight_properties(g, max_len, weighed).status
-            statuses.add(new.status)
+            new = verify._check_weight_properties(g, max_len, weighed, table)
+        assert new.status == reference_weight_properties(g, max_len, weighed, weigh).status
+        statuses.add(new.status)
     assert statuses == {"pass", "FAIL"}
