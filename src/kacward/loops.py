@@ -18,7 +18,9 @@ weight x_d.  It keeps prefix stacks of the turning sum and the edge product,
 so each walk comes with its weight at O(1) cost per step; the sums run in
 walk order, so they are the same floats that ``walk_weight`` returns.  The
 enumerators that ignore weights build the table without angles, so they
-also run on graphs with zero-length edges.
+also run on graphs with zero-length edges; ``verify_generic_cancellation``,
+which weighs loops only, leaves out the steps on edges no loop uses (trees
+hanging off the graph), so it computes no angle a loop does not turn.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -200,14 +202,40 @@ class _StepTable(NamedTuple):
     x: list[float]
 
 
-def _step_table(g: EmbeddedGraph, weigh: bool) -> _StepTable:
+def _on_loops(g: EmbeddedGraph) -> list[bool]:
+    """``on[d]``: some loop steps along directed edge ``d``.
+
+    An edge whose every continuation runs into a dead end (a tree hanging off
+    the graph) goes on forever in no walk; such edges are peeled off from the
+    leaves inwards.  A loop's reversal is a loop, so ``d`` is on a loop only if
+    ``d`` and ``d ^ 1`` both go on; the edges that do are the graph with its
+    hanging trees removed, and each of them lies on a loop there.
+    """
+    live = [len(g.out_edges(g.head(d))) - 1 for d in range(g.num_directed)]
+    goes_on = [True] * g.num_directed
+    dead = [d for d, n in enumerate(live) if n == 0]
+    while dead:
+        f = dead.pop()
+        goes_on[f] = False
+        for e in g.out_edges(g.tail(f)):
+            if e != f:  # e ^ 1 enters the tail of f and may continue along f
+                live[e ^ 1] -= 1
+                if live[e ^ 1] == 0:
+                    dead.append(e ^ 1)
+    return [goes_on[d] and goes_on[d ^ 1] for d in range(g.num_directed)]
+
+
+def _step_table(g: EmbeddedGraph, weigh: bool, loops_only: bool = False) -> _StepTable:
     """The step table of ``g``; without ``weigh`` every angle is 0.0 and none is
+    computed.  With ``loops_only`` every step from or onto an edge no loop uses
+    is left out: the loops stay the same, and no angle off the loops is
     computed."""
+    on = _on_loops(g) if loops_only else [True] * g.num_directed
     turns = [
         {
             f: turning_angle(g, d, f) if weigh else 0.0
             for f in g.out_edges(g.head(d))
-            if f != (d ^ 1)
+            if f != (d ^ 1) and on[d] and on[f]
         }
         for d in range(g.num_directed)
     ]
@@ -431,5 +459,6 @@ def verify_generic_cancellation(
             "outside convergence radius: (max_degree - 1) * max|x| = "
             f"{_contraction(g)[0]:.3g} >= 1"
         )
-    weighed = _weighed_loops(_walks(_step_table(g, weigh=True), max_n, None))
+    table = _step_table(g, weigh=True, loops_only=True)
+    weighed = _weighed_loops(_walks(table, max_n, None))
     return _generic_scan(g, weighed, max_n)[e]

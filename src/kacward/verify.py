@@ -15,6 +15,7 @@ from .decoration import decorate
 from .graph import EmbeddedGraph, max_degree
 from .loops import (
     Weighed,
+    _check_len_cap,
     _generic_scan,
     _reverse_steps,
     _step_table,
@@ -231,7 +232,9 @@ def run_suite(
 
     Every walk weight comes from one step table, as the walk generator reaches
     the walk; the loop checks share one weighed enumeration of the rooted loops.
+    A length over ``MAX_LOOP_LEN_CAP`` raises ValueError before any work.
     """
+    _check_len_cap(max_len)
     kw = _check_kw_vs_oracle(g, corrupt_transition)
     table = _step_table(g, weigh=True)
     weighed = _weighed_loops(_walks(table, max_len, None))

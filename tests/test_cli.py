@@ -453,6 +453,19 @@ def test_verify_rejects_a_zero_length_flag(capsys, triangle_file):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [("17", None), (None, "20")])
+def test_verify_rejects_a_length_over_the_cap(capsys, triangle_file, monkeypatch, flag, env):
+    # The walk count grows exponentially with the length; a length over the
+    # cap is refused before any enumeration starts.
+    if env is not None:
+        monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", env)
+    argv = ["verify", triangle_file] + (["--max-loop-len", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    length = flag or env
+    assert (code, out) == (2, "")
+    assert err == f"kacward: error[parse]: enumeration length {length} exceeds cap 16\n"
+
+
 def test_verify_flag_overrides_a_bad_env_value(capsys, triangle_file, monkeypatch):
     monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", "0")
     code, out, _ = run(capsys, "verify", triangle_file, "--max-loop-len", "5")

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from kacward import (
+    EmbeddedGraph,
     concat,
     enumerate_rooted_loops,
     enumerate_walks,
@@ -19,7 +20,8 @@ from kacward import (
     verify_generic_cancellation,
     walk_weight,
 )
-from kacward.loops import GenericCancellationReport, _contraction
+from kacward.loops import MAX_LOOP_LEN_CAP, GenericCancellationReport, _contraction
+from kacward.transition import check_convergence_radius
 from kacward.verify import CheckResult, _fmt, run_suite
 from conftest import (
     REFERENCE_WALK_BUDGET,
@@ -325,6 +327,68 @@ def test_generic_scan_matches_the_per_edge_reference(corpus):
         assert len(reports) == g.num_directed
         for e, report in enumerate(reports):
             assert report == reference_generic_scan(g, weighed, e, max_len)
+
+
+def test_suite_refuses_a_length_over_the_cap(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("work started before the length cap was checked")
+
+    monkeypatch.setattr(verify, "_check_kw_vs_oracle", unreachable)
+    monkeypatch.setattr(verify, "_step_table", unreachable)
+    with pytest.raises(ValueError, match=f"exceeds cap {MAX_LOOP_LEN_CAP}"):
+        run_suite(make_triangle(0.25), MAX_LOOP_LEN_CAP + 1)
+
+
+def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
+    for g, max_len in budgeted_cases(corpus):
+        full = loops._step_table(g, weigh=True)
+        pruned = loops._step_table(g, weigh=True, loops_only=True)
+        assert loops._weighed_loops(loops._walks(pruned, max_len, None)) == (
+            loops._weighed_loops(loops._walks(full, max_len, None))
+        )
+
+
+def dumbbell_with_pendant(pendant_length):
+    # Two triangles joined by a bridge, and one edge hanging off a corner.
+    return EmbeddedGraph(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (3.0, 0.0), (4.0, 0.0), (3.0, 1.0),
+         (0.0, 1.0 + pendant_length)],
+        [(0, 1, 0.3), (1, 2, 0.3), (2, 0, 0.3), (3, 4, 0.3), (4, 5, 0.3),
+         (5, 3, 0.3), (1, 3, 0.3), (2, 6, 0.3)],
+    )
+
+
+def test_only_dead_end_edges_are_off_the_loops():
+    # The bridge lies on loops that go round both triangles; the pendant edge
+    # lies on none.
+    g = dumbbell_with_pendant(1.0)
+    assert loops._on_loops(g) == [True] * 14 + [False, False]
+    assert loops._on_loops(make_path3()) == [False] * 4
+    assert loops._on_loops(make_triangle()) == [True] * 6
+
+
+@pytest.mark.parametrize("pendant_length", [1.0, 0.0])
+def test_public_generic_cancellation_matches_the_per_edge_reference(pendant_length):
+    # No loop uses the pendant edge, so no turning angle onto it is needed,
+    # even where it has length zero and no angle is defined.
+    g = dumbbell_with_pendant(pendant_length)
+    weighed = weighed_loops(g, 9)
+    for e in range(g.num_directed):
+        assert verify_generic_cancellation(g, e, 9) == reference_generic_scan(g, weighed, e, 9)
+
+
+def test_public_generic_cancellation_matches_the_reference_on_the_corpus(corpus):
+    cases = 0
+    for g, max_len in budgeted_cases(corpus):
+        if not check_convergence_radius(g):
+            continue
+        weighed = weighed_loops(g, max_len)
+        for e in (0, g.num_directed - 1):
+            assert verify_generic_cancellation(g, e, max_len) == (
+                reference_generic_scan(g, weighed, e, max_len)
+            )
+        cases += 1
+    assert cases >= 100
 
 
 @pytest.mark.parametrize("make, max_len", [(make_triangle, 5), (make_bowtie, 5)])
