@@ -16,11 +16,12 @@ built from the graph beforehand: for each directed edge d, its
 non-backtracking continuations f with ``turning_angle(g, d, f)``, and the
 weight x_d.  It keeps prefix stacks of the turning sum and the edge product,
 so each walk comes with its weight at O(1) cost per step; the sums run in
-walk order, so they are the same floats that ``walk_weight`` returns.  The
-enumerators that ignore weights build the table without angles, so they
-also run on graphs with zero-length edges; ``verify_generic_cancellation``,
-which weighs loops only, leaves out the steps on edges no loop uses (trees
-hanging off the graph), so it computes no angle a loop does not turn.
+walk order, so they are the same floats that ``walk_weight`` returns.
+Weighed loops are one dict, steps -> (weight, edge product), in enumeration
+order, with no ``Loop`` object per loop.  The enumerators that ignore weights
+build the table without angles, so they also run on graphs with zero-length
+edges; ``verify_generic_cancellation`` leaves out the steps on edges no loop
+uses (trees hanging off the graph), so it computes no angle off the loops.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -160,8 +161,12 @@ def reverse_walk(w: Walk) -> Walk:
 
 def is_self_avoiding(g: EmbeddedGraph, l: Loop) -> bool:
     """True iff every vertex of the loop appears in exactly two traversed edges."""
+    return _self_avoiding(g, l.steps)
+
+
+def _self_avoiding(g: EmbeddedGraph, steps: tuple[int, ...]) -> bool:
     counts: dict[int, int] = {}
-    for s in l.steps[:-1]:
+    for s in steps[:-1]:
         for v in (g.tail(s), g.head(s)):
             counts[v] = counts.get(v, 0) + 1
     return all(c == 2 for c in counts.values())
@@ -185,6 +190,14 @@ def loop_stats(l: Loop) -> LoopStats:
     for s in l.steps[:-1]:
         visits[s] = visits.get(s, 0) + 1
     return LoopStats(multiplicity=multiplicity(l), visits=visits)
+
+
+def _require_convergence(g: EmbeddedGraph) -> None:
+    if not check_convergence_radius(g):
+        raise ValueError(
+            "outside convergence radius: (max_degree - 1) * max|x| = "
+            f"{_contraction(g)[0]:.3g} >= 1"
+        )
 
 
 def _check_len_cap(max_len: int) -> None:
@@ -314,9 +327,8 @@ def enumerate_rooted_loops(
     return [Loop(tuple(s)) for s, _, _ in walks if len(s) > 2 and s[-1] == s[0]]
 
 
-def _traces(g: EmbeddedGraph, max_n: int) -> Iterator[complex]:
-    """trace(transition^n) for n = 1..max_n, from dense matrix powers."""
-    m = build_transition_matrix(g).entries
+def _traces(m: np.ndarray, max_n: int) -> Iterator[complex]:
+    """trace(m^n) for n = 1..max_n of the dense transition matrix ``m``."""
     power = np.eye(m.shape[0], dtype=np.complex128)
     for _ in range(max_n):
         power = power @ m
@@ -330,12 +342,9 @@ def truncated_loop_sum(g: EmbeddedGraph, max_n: int) -> complex:
     log-determinant of (I - transition), and term by term it equals the
     weight sum of all rooted loops of each length.
     """
-    if not check_convergence_radius(g):
-        raise ValueError(
-            "weights outside the convergence radius max|x| < 1/(max_degree - 1)"
-        )
+    _require_convergence(g)
     total = 0.0 + 0.0j
-    for n, trace in enumerate(_traces(g, max_n), 1):
+    for n, trace in enumerate(_traces(build_transition_matrix(g).entries, max_n), 1):
         total += trace / n
     return total
 
@@ -402,34 +411,30 @@ class GenericCancellationReport:
     bound: float
 
 
-Weighed = list[tuple[Loop, WalkWeight]]
+Weighed = dict[tuple[int, ...], tuple[complex, float]]
 
 
 def _weighed_loops(walks: Iterable[tuple[list[int], float, float]]) -> Weighed:
-    """The loops among ``walks``, as ``_walks`` yields them, each with its weight."""
-    return [
-        (Loop(tuple(s)), WalkWeight(_value(t, p), t, p))
-        for s, t, p in walks
-        if len(s) > 2 and s[-1] == s[0]
-    ]
+    """steps -> (weight, edge product) of the loops among ``walks``, in order."""
+    return {tuple(s): (_value(t, p), p) for s, t, p in walks if len(s) > 2 and s[-1] == s[0]}
 
 
 def _generic_scan(
     g: EmbeddedGraph, weighed: Weighed, max_n: int
 ) -> list[GenericCancellationReport]:
     """``verify_generic_cancellation`` at every directed edge, in one scan of the
-    weighed loops up to ``max_n``; each edge's sums add up in list order."""
+    weighed loops up to ``max_n``; each edge's sums add up in enumeration order."""
     wsum = [0.0 + 0.0j] * g.num_directed
     single = [0.0 + 0.0j] * g.num_directed
-    for l, ww in weighed:
-        body = l.steps[:-1]
+    for steps, (lam, _) in weighed.items():
+        body = steps[:-1]
         visited = set(body)
-        share = ww.value / l.length
+        share = lam / len(body)
         for e in visited:
             if (e ^ 1) not in visited:
                 wsum[e] += share
-        if (l.first ^ 1) not in visited and body.count(l.first) == 1:
-            single[l.first] += ww.value
+        if (steps[0] ^ 1) not in visited and body.count(steps[0]) == 1:
+            single[steps[0]] += lam
     rho, top = _contraction(g)
     c = 2 * g.num_edges * max(1.0, top)
     bound = c * rho ** (max_n + 1) / (1.0 - rho) if rho > 0 else 0.0
@@ -454,11 +459,7 @@ def verify_generic_cancellation(
     _check_len_cap(max_n)
     if not 0 <= e < g.num_directed:
         raise ValueError(f"directed edge {e} out of range")
-    if not check_convergence_radius(g):
-        raise ValueError(
-            "outside convergence radius: (max_degree - 1) * max|x| = "
-            f"{_contraction(g)[0]:.3g} >= 1"
-        )
+    _require_convergence(g)
     table = _step_table(g, weigh=True, loops_only=True)
     weighed = _weighed_loops(_walks(table, max_n, None))
     return _generic_scan(g, weighed, max_n)[e]

@@ -18,14 +18,13 @@ from .loops import (
     _check_len_cap,
     _generic_scan,
     _reverse_steps,
+    _self_avoiding,
     _step_table,
     _StepTable,
     _table_weight,
     _traces,
     _value,
     _walks,
-    _weighed_loops,
-    is_self_avoiding,
 )
 from .oracle import partition_function_oracle
 from .transition import build_transition_matrix, check_convergence_radius
@@ -48,15 +47,11 @@ def _fmt(x: float) -> str:
     return format(x, ".3e")
 
 
-def _check_kw_vs_oracle(g: EmbeddedGraph, corrupt: bool) -> CheckResult:
-    tm = build_transition_matrix(g).entries
-    if corrupt and tm.size:
-        nz = np.nonzero(tm)
-        if len(nz[0]):
-            tm = tm.copy()
-            tm[nz[0][0], nz[1][0]] *= 1.01  # deliberate fault for testing
+def _check_kw_vs_oracle(tm: np.ndarray, z: float, corrupt: bool) -> CheckResult:
+    if corrupt and np.any(tm):
+        tm = tm.copy()
+        tm.flat[np.flatnonzero(tm)[0]] *= 1.01  # deliberate fault for testing
     det = complex(np.linalg.det(np.eye(tm.shape[0], dtype=complex) - tm))
-    z = partition_function_oracle(g)
     diff = abs(det - z * z)
     tol = 1e-9 * max(1.0, z * z)
     return CheckResult(
@@ -67,11 +62,15 @@ def _check_kw_vs_oracle(g: EmbeddedGraph, corrupt: bool) -> CheckResult:
 
 
 def _check_weight_properties(
-    g: EmbeddedGraph, max_len: int, weighed: Weighed, table: _StepTable
-) -> CheckResult:
-    name = "weight-properties"
+    g: EmbeddedGraph, max_len: int, table: _StepTable
+) -> tuple[CheckResult, Weighed]:
+    """The check, and the rooted loops up to ``max_len`` that its walk pass
+    weighs, in enumeration order.  After the first failure the pass stops
+    comparing and keeps collecting, so the other loop checks see every loop."""
     half = max(max_len // 2, 1)
     weight_of = {tuple(seq): _value(t, p) for seq, t, p in _walks(table, half, None)}
+    loops: Weighed = {}
+    failure = None
 
     # One pass over the walks.  Each walk of length <= 2 * half is compared, at
     # every split into two parts of length <= half, against the product of the
@@ -81,66 +80,61 @@ def _check_weight_properties(
     for seq, t, p in _walks(table, max(max_len, 2 * half), None):
         n = len(seq) - 1
         pair = n <= max_len and seq[-1] == (seq[0] ^ 1)
-        if n > 2 * half and not pair:
+        loop = 1 < n <= max_len and seq[-1] == seq[0]
+        if n > 2 * half and not (pair or loop):
             continue
         steps = tuple(seq)
         lam = _value(t, p)
+        if loop:
+            loops[steps] = lam, p
+        if failure is not None:
+            continue
         for k in range(max(0, n - half), min(n, half) + 1):
             head, tail = steps[: k + 1], steps[k:]
             expect = weight_of[head] * weight_of[tail]
             if abs(lam - expect) > 1e-12 * max(1.0, abs(expect)):
-                return CheckResult(
-                    name,
-                    False,
+                failure = (
                     f"multiplicativity fails for {head}+{tail}: "
-                    f"|diff| = {_fmt(abs(lam - expect))}",
+                    f"|diff| = {_fmt(abs(lam - expect))}"
                 )
-        if not pair:
-            continue
-        lam_rev = _value(*_table_weight(table, _reverse_steps(steps)))
-        tol = 1e-12 * max(1.0, abs(lam))
-        if abs(lam.real) > tol or abs(lam + lam_rev) > tol:
-            return CheckResult(
-                name,
-                False,
-                f"reversal-pair walk {steps}: re = {_fmt(abs(lam.real))}, "
-                f"|lam + lam_rev| = {_fmt(abs(lam + lam_rev))}",
-            )
+                break
+        if pair and failure is None:
+            lam_rev = _value(*_table_weight(table, _reverse_steps(steps)))
+            tol = 1e-12 * max(1.0, abs(lam))
+            if abs(lam.real) > tol or abs(lam + lam_rev) > tol:
+                failure = (
+                    f"reversal-pair walk {steps}: re = {_fmt(abs(lam.real))}, "
+                    f"|lam + lam_rev| = {_fmt(abs(lam + lam_rev))}"
+                )
 
     # Loops are real and reversal-symmetric; self-avoiding loops weigh
     # minus their edge product.  A loop's reversal is itself a weighed loop.
-    loop_weight = {l.steps: ww.value for l, ww in weighed}
-    for l, ww in weighed:
-        lam_rev = loop_weight[_reverse_steps(l.steps)]
-        tol = 1e-12 * max(1.0, abs(ww.value))
-        if abs(ww.value.imag) > tol or abs(ww.value - lam_rev) > tol:
-            return CheckResult(
-                name,
-                False,
-                f"loop {l.steps}: im = {_fmt(abs(ww.value.imag))}, "
-                f"|lam - lam_rev| = {_fmt(abs(ww.value - lam_rev))}",
+    for steps, (lam, x) in loops.items():
+        if failure is not None:
+            break
+        lam_rev = loops[_reverse_steps(steps)][0]
+        tol = 1e-12 * max(1.0, abs(lam))
+        if abs(lam.imag) > tol or abs(lam - lam_rev) > tol:
+            failure = (
+                f"loop {steps}: im = {_fmt(abs(lam.imag))}, "
+                f"|lam - lam_rev| = {_fmt(abs(lam - lam_rev))}"
             )
-        if is_self_avoiding(g, l) and abs(ww.value + ww.edge_product) > tol:
-            return CheckResult(
-                name,
-                False,
-                f"self-avoiding loop {l.steps}: "
-                f"|lam + x| = {_fmt(abs(ww.value + ww.edge_product))}",
-            )
-    return CheckResult(name, True, f"walk/loop lengths up to {max_len}")
+        elif _self_avoiding(g, steps) and abs(lam + x) > tol:
+            failure = f"self-avoiding loop {steps}: |lam + x| = {_fmt(abs(lam + x))}"
+    detail = failure or f"walk/loop lengths up to {max_len}"
+    return CheckResult("weight-properties", failure is None, detail), loops
 
 
 def _check_specific_cancellation(weighed: Weighed) -> CheckResult:
     name = "specific-cancellation"
     sums: dict[tuple[int, int], complex] = {}
     mags: dict[tuple[int, int], float] = {}
-    for l, ww in weighed:
-        body = set(l.steps[:-1])
-        lam = ww.value
+    for steps, (lam, _) in weighed.items():
+        body = set(steps[:-1])
         for k in {s >> 1 for s in body}:
             if 2 * k in body and 2 * k + 1 in body:
                 for e in (2 * k, 2 * k + 1):
-                    key = (e, l.length)
+                    key = (e, len(steps) - 1)
                     sums[key] = sums.get(key, 0.0) + lam
                     mags[key] = mags.get(key, 0.0) + abs(lam)
     worst_key = None
@@ -187,15 +181,15 @@ def _check_generic_cancellation(
     )
 
 
-def _check_trace_identity(g: EmbeddedGraph, max_len: int, weighed: Weighed) -> CheckResult:
+def _check_trace_identity(tm: np.ndarray, max_len: int, weighed: Weighed) -> CheckResult:
     name = "trace-identity"
     top = min(8, max_len)
     loop_sums = {n: 0.0 + 0.0j for n in range(1, top + 1)}
-    for l, ww in weighed:
-        if l.length <= top:
-            loop_sums[l.length] += ww.value
+    for steps, (lam, _) in weighed.items():
+        if len(steps) - 1 <= top:
+            loop_sums[len(steps) - 1] += lam
     worst = 0.0
-    for n, trace in enumerate(_traces(g, top), 1):
+    for n, trace in enumerate(_traces(tm, top), 1):
         diff = abs(trace - loop_sums[n])
         worst = max(worst, diff)
         if diff > 1e-11 * max(1.0, abs(trace)):
@@ -207,14 +201,13 @@ def _check_trace_identity(g: EmbeddedGraph, max_len: int, weighed: Weighed) -> C
     return CheckResult(name, True, f"lengths 1..{top}, worst diff = {_fmt(worst)}")
 
 
-def _check_decoration(g: EmbeddedGraph) -> CheckResult:
+def _check_decoration(g: EmbeddedGraph, z0: float) -> CheckResult:
     name = "decoration"
     if max_degree(g) <= 3:
         return CheckResult(name, None, "skipped: graph already trivalent")
     dec = decorate(g)
     if max_degree(dec.decorated) > 3:
         return CheckResult(name, False, "decorated graph is not trivalent")
-    z0 = partition_function_oracle(g)
     z1 = partition_function_oracle(dec.decorated)
     diff = abs(z0 - z1)
     tol = 1e-12 * max(abs(z0), 1.0)
@@ -230,19 +223,23 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check; ``corrupt_transition`` injects a deliberate fault.
 
+    The transition matrix and the oracle's Z are computed once and shared.
     Every walk weight comes from one step table, as the walk generator reaches
-    the walk; the loop checks share one weighed enumeration of the rooted loops.
+    the walk; weight-properties' one pass over the walks also collects the
+    weighed rooted loops that the other loop checks read.
     A length over ``MAX_LOOP_LEN_CAP`` raises ValueError before any work.
     """
     _check_len_cap(max_len)
-    kw = _check_kw_vs_oracle(g, corrupt_transition)
+    tm = build_transition_matrix(g).entries
+    z = partition_function_oracle(g)
+    kw = _check_kw_vs_oracle(tm, z, corrupt_transition)
     table = _step_table(g, weigh=True)
-    weighed = _weighed_loops(_walks(table, max_len, None))
+    weight_properties, weighed = _check_weight_properties(g, max_len, table)
     return [
         kw,
-        _check_weight_properties(g, max_len, weighed, table),
+        weight_properties,
         _check_specific_cancellation(weighed),
         _check_generic_cancellation(g, max_len, weighed),
-        _check_trace_identity(g, max_len, weighed),
-        _check_decoration(g),
+        _check_trace_identity(tm, max_len, weighed),
+        _check_decoration(g, z),
     ]

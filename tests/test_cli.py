@@ -466,6 +466,20 @@ def test_verify_rejects_a_length_over_the_cap(capsys, triangle_file, monkeypatch
     assert err == f"kacward: error[parse]: enumeration length {length} exceeds cap 16\n"
 
 
+def test_verify_refuses_a_cycle_space_over_the_oracle_cap(capsys, tmp_path, monkeypatch):
+    # The oracle's Z sums 2^(cycle dimension) subgraphs; a 6x6 patch
+    # (dimension 36) is refused before any walk is enumerated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("walk enumeration started")
+
+    monkeypatch.setattr(kacward.verify, "_step_table", unreachable)
+    path = tmp_path / "square.json"
+    dump_graph(gen_square(6, 6, 0.3), path)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "kacward: error[parse]: cycle space too large: dimension 36 exceeds cap 30\n"
+
+
 def test_verify_flag_overrides_a_bad_env_value(capsys, triangle_file, monkeypatch):
     monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", "0")
     code, out, _ = run(capsys, "verify", triangle_file, "--max-loop-len", "5")

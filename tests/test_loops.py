@@ -588,6 +588,17 @@ def test_generic_cancellation_requires_margin():
         verify_generic_cancellation(g, 0, 10)
 
 
+def test_both_radius_errors_state_the_test_applied():
+    g = make_bowtie(weight=0.5)  # rho = 3 * 0.5
+    with pytest.raises(ValueError) as truncated:
+        truncated_loop_sum(g, 10)
+    with pytest.raises(ValueError) as generic:
+        verify_generic_cancellation(g, 0, 10)
+    assert str(truncated.value) == str(generic.value) == (
+        "outside convergence radius: (max_degree - 1) * max|x| = 1.5 >= 1"
+    )
+
+
 def test_generic_cancellation_propagates_cap():
     g = make_triangle(weight=0.1)
     with pytest.raises(ValueError, match="cap"):

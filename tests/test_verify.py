@@ -1,6 +1,6 @@
-"""The check suite behind ``kacward verify``: one step table and one shared loop
-enumeration, and a FAIL with its counterexample from each loop check when one
-loop weight is off."""
+"""The check suite behind ``kacward verify``: one step table, one walk pass that
+also collects the weighed loops the other checks share, and a FAIL with its
+counterexample from each loop check when one loop weight is off."""
 
 import cmath
 import dataclasses
@@ -100,19 +100,52 @@ def test_a_skewed_loop_weight_fails_the_check(
 
 
 def test_loops_are_enumerated_once_per_suite(monkeypatch):
-    real = verify._weighed_loops
+    # Weight-properties' walk pass collects the weighed loops; it runs once.
+    real = verify._check_weight_properties
     calls = []
 
-    def counting(walks):
-        calls.append(real(walks))
+    def counting(*args):
+        calls.append(real(*args))
         return calls[-1]
 
-    monkeypatch.setattr(verify, "_weighed_loops", counting)
+    monkeypatch.setattr(verify, "_check_weight_properties", counting)
     g = make_bowtie(0.25)
     results = run_suite(g, 10)
     assert [r.status for r in results] == ["pass"] * 6
     assert len(calls) == 1
-    assert [l.steps for l, _ in calls[0]] == [l.steps for l in enumerate_rooted_loops(g, 10)]
+    assert list(calls[0][1]) == [l.steps for l in enumerate_rooted_loops(g, 10)]
+
+
+def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch):
+    # A skewed walk of length 2 fails multiplicativity near the start of the
+    # pass, before any loop; the pass still collects every loop after it.
+    g = make_triangle(0.25)
+    target = next(w for w in enumerate_walks(g, 9) if w.length == 2)
+    perturb_loop_weight(monkeypatch, target.steps)
+    names = ("_check_specific_cancellation", "_check_generic_cancellation", "_check_trace_identity")
+    seen = [count_calls(monkeypatch, verify, name) for name in names]
+    results = run_suite(g, 9)
+    assert [r.status for r in results] == ["pass", "FAIL", "pass", "pass", "pass", "skip"]
+    assert results[1].detail.startswith(f"multiplicativity fails for {target.steps[:2]}+")
+    expected = [
+        (l.steps, (walk_weight(g, l).value, walk_weight(g, l).edge_product))
+        for l in enumerate_rooted_loops(g, 9)
+    ]
+    for calls in seen:
+        (args,) = calls
+        assert list(args[-1].items()) == expected
+
+
+def test_suite_builds_the_transition_matrix_and_the_oracle_once(monkeypatch):
+    # kw-vs-oracle and trace-identity share one T, and kw-vs-oracle corrupts a
+    # copy of it; kw-vs-oracle and decoration share the oracle's Z of g.
+    g = make_bowtie(0.25)
+    builds = count_calls(monkeypatch, verify, "build_transition_matrix")
+    oracles = count_calls(monkeypatch, verify, "partition_function_oracle")
+    results = run_suite(g, 6, corrupt_transition=True)
+    assert [r.status for r in results] == ["FAIL"] + ["pass"] * 5
+    assert len(builds) == 1
+    assert [args[0] is g for args in oracles] == [True, False]  # g, then its decoration
 
 
 def test_generic_check_agrees_with_the_public_function():
@@ -168,12 +201,12 @@ def count_calls(monkeypatch, module, name):
 def test_suite_weighs_each_walk_once(monkeypatch):
     # Weights come from the walk generator as it reaches each walk, and the
     # reversal-pair walks' reversals from the step table; no walk is weighed
-    # by ``walk_weight``.
+    # by ``walk_weight``.  The pass that compares the walks also collects the
+    # loops.
     g = make_bowtie(0.25)
     walks = enumerate_walks(g, 10)
     expected = (
-        len(walks)  # the loop pass up to 10
-        + len(enumerate_walks(g, 5))  # the half-walk table
+        len(enumerate_walks(g, 5))  # the half-walk table
         + len(walks)  # the pass over walks up to 2 * 5
     )
     real = verify._walks
@@ -191,19 +224,19 @@ def test_suite_weighs_each_walk_once(monkeypatch):
     reversals = count_calls(monkeypatch, verify, "_table_weight")
     run_suite(g, 10)
     assert (len(weighs), len(validations)) == (0, 0)
-    assert len(drawn) == expected == 3528
+    assert len(drawn) == expected == 1884
     assert len(reversals) == sum(w.last == w.first ^ 1 for w in walks) == 152
 
 
 def test_one_walk_pass_and_one_generic_scan_per_suite(monkeypatch):
-    # Three weighed passes share one step table: the loops up to 9, the
-    # half-walk table up to 4, and the walk pass up to 9.
+    # Two weighed passes share one step table: the half-walk table up to 4,
+    # and the walk pass up to 9, which also collects the loops.
     passes = count_calls(monkeypatch, verify, "_walks")
     tables = count_calls(monkeypatch, verify, "_step_table")
     scans = count_calls(monkeypatch, verify, "_generic_scan")
     results = run_suite(make_bowtie(0.25), 9)
     assert [r.status for r in results] == ["pass"] * 6
-    assert [args[1:] for args in passes] == [(9, None), (4, None), (9, None)]
+    assert [args[1:] for args in passes] == [(4, None), (9, None)]
     assert (len(tables), len(scans)) == (1, 1)
     assert len({id(args[0]) for args in passes}) == 1
 
@@ -286,6 +319,11 @@ def weighed_loops(g, max_len, weigh=walk_weight):
     return [(l, weigh(g, l)) for l in enumerate_rooted_loops(g, max_len)]
 
 
+def as_dict(weighed):
+    """The references' (Loop, WalkWeight) list as the check suite keeps it."""
+    return {l.steps: (ww.value, ww.edge_product) for l, ww in weighed}
+
+
 def step_table(g):
     return loops._step_table(g, weigh=True)
 
@@ -314,8 +352,9 @@ def test_weight_properties_match_the_pair_loop_reference(corpus):
     cases = 0
     for g, max_len in budgeted_cases(corpus):
         weighed = weighed_loops(g, max_len, memo_weight)
-        new = verify._check_weight_properties(g, max_len, weighed, step_table(g))
+        new, collected = verify._check_weight_properties(g, max_len, step_table(g))
         assert new == reference_weight_properties(g, max_len, weighed, memo_weight)
+        assert list(collected.items()) == list(as_dict(weighed).items())
         cases += 1
     assert cases >= 900
 
@@ -323,7 +362,7 @@ def test_weight_properties_match_the_pair_loop_reference(corpus):
 def test_generic_scan_matches_the_per_edge_reference(corpus):
     for g, max_len in budgeted_cases(corpus):
         weighed = weighed_loops(g, max_len)
-        reports = loops._generic_scan(g, weighed, max_len)
+        reports = loops._generic_scan(g, as_dict(weighed), max_len)
         assert len(reports) == g.num_directed
         for e, report in enumerate(reports):
             assert report == reference_generic_scan(g, weighed, e, max_len)
@@ -343,8 +382,8 @@ def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
     for g, max_len in budgeted_cases(corpus):
         full = loops._step_table(g, weigh=True)
         pruned = loops._step_table(g, weigh=True, loops_only=True)
-        assert loops._weighed_loops(loops._walks(pruned, max_len, None)) == (
-            loops._weighed_loops(loops._walks(full, max_len, None))
+        assert list(loops._weighed_loops(loops._walks(pruned, max_len, None)).items()) == (
+            list(loops._weighed_loops(loops._walks(full, max_len, None)).items())
         )
 
 
@@ -397,7 +436,7 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
 ):
     # Both checks make the same comparisons, so skewing any one walk's weight
     # (in the walk generator for the check, in ``walk_weight`` for the
-    # reference, and in the loop list both read) fails both or neither.
+    # reference, which also reads it in the loop list) fails both or neither.
     g = make(0.25)
     table = step_table(g)
     statuses = set()
@@ -406,7 +445,7 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
         weighed = weighed_loops(g, max_len, weigh)
         with monkeypatch.context() as m:
             perturb_loop_weight(m, target.steps)
-            new = verify._check_weight_properties(g, max_len, weighed, table)
+            new, _ = verify._check_weight_properties(g, max_len, table)
         assert new.status == reference_weight_properties(g, max_len, weighed, weigh).status
         statuses.add(new.status)
     assert statuses == {"pass", "FAIL"}
