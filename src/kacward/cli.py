@@ -15,7 +15,7 @@ import sys
 
 from .decoration import decorate
 from .errors import GraphFormatError, InvalidEmbeddingError, NumericalError
-from .graph import dumps_graph, load_graph, require_valid_embedding
+from .graph import dumps_graph, load_graph
 from .lattices import IsingInstance, gen_hex, gen_square, ising_partition_kw
 from .transition import kac_ward_determinant, partition_function_kw
 from .verify import run_suite
@@ -104,7 +104,6 @@ def _cmd_decorate(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_graph(args.file)
-    require_valid_embedding(g)
     results = run_suite(g, args.max_loop_len, corrupt_transition=args.corrupt_transition)
     print(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
     print(f"max loop length: {args.max_loop_len}")

@@ -84,8 +84,15 @@ def _fan_radius(g: EmbeddedGraph, v: int) -> float:
 
 
 def decorate(g: EmbeddedGraph) -> Decoration:
-    """Build the trivalent decoration; the identity for graphs of degree <= 3."""
+    """Build the trivalent decoration; the identity for graphs of degree <= 3.
+
+    Validates ``g`` first, and the decorated graph once it is built."""
     require_valid_embedding(g)
+    return _decorate(g)
+
+
+def _decorate(g: EmbeddedGraph) -> Decoration:
+    """``decorate`` of a graph that has been validated."""
     fanned = [v for v in range(g.num_vertices) if g.degree(v) > 3]
     if not fanned:
         return Decoration(

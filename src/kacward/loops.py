@@ -11,17 +11,22 @@ its steps, which factors as ``exp(i * turning_sum / 2) * edge_product`` with
 the product of traversed edge weights.  The final entry of the sequence is
 not traversed, so its weight and no further angle enter the product.
 
-Enumeration: one depth-first walk generator, ``_walks``, reads a step table
+Enumeration: one level-wise walk enumerator, ``_levels``, reads a step table
 built from the graph beforehand: for each directed edge d, its
 non-backtracking continuations f with ``turning_angle(g, d, f)``, and the
-weight x_d.  It keeps prefix stacks of the turning sum and the edge product,
-so each walk comes with its weight at O(1) cost per step; the sums run in
-walk order, so they are the same floats that ``walk_weight`` returns.
-Weighed loops are one dict, steps -> (weight, edge product), in enumeration
-order, with no ``Loop`` object per loop.  The enumerators that ignore weights
-build the table without angles, so they also run on graphs with zero-length
-edges; ``verify_generic_cancellation`` leaves out the steps on edges no loop
-uses (trees hanging off the graph), so it computes no angle off the loops.
+weight x_d, held as CSR arrays.  It builds the walks one length at a time in
+numpy arrays; each walk stores its parent's index, its last step, its root,
+its turning sum and its edge product, and weighs its parent's sums plus one
+step, in walk order, so the weights are the same floats that ``walk_weight``
+returns.  Every level is in lexicographic order, and a lexsort of the levels
+recovers the depth-first order.  ``_groups`` bounds the memory: it hands the
+walks out in consecutive groups of subtrees, each counted from the table
+before it is built.  Weighed loops are one dict, steps -> (weight, edge
+product), in lexicographic order, with no ``Loop`` object per loop.  The
+enumerators that ignore weights build the table without angles, so they also
+run on graphs with zero-length edges; ``verify_generic_cancellation`` leaves
+out the steps on edges no loop uses (trees hanging off the graph), so it
+computes no angle off the loops.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -255,45 +260,199 @@ def _step_table(g: EmbeddedGraph, weigh: bool, loops_only: bool = False) -> _Ste
     return _StepTable(turns, [g.directed_weight(d) for d in range(g.num_directed)])
 
 
-def _table_weight(table: _StepTable, steps: Sequence[int]) -> tuple[float, float]:
-    """(turning_sum, edge_product) of the walk ``steps``, summed in walk order."""
-    turning = 0.0
-    product = 1.0
-    for a, b in zip(steps, steps[1:]):
-        turning += table.turns[a][b]
-        product *= table.x[a]
+# Walks materialised at once by ``_groups``; bounds the enumerator's memory.
+_GROUP_CAP = 1 << 14
+
+
+class _Csr(NamedTuple):
+    """The step table as arrays: directed edge d continues along the entries
+    ``start[d]:start[d + 1]``, onto ``succ`` (ascending) with turning angle
+    ``angle``; ``src`` is the edge each entry continues, ``key`` is
+    ``src * len(x) + succ`` (ascending), ``x[d]`` is x_d."""
+
+    start: np.ndarray
+    src: np.ndarray
+    succ: np.ndarray
+    key: np.ndarray
+    angle: np.ndarray
+    x: np.ndarray
+
+
+def _csr(table: _StepTable) -> _Csr:
+    degree = [len(turns) for turns in table.turns]
+    src = np.repeat(np.arange(len(degree)), degree)
+    succ = np.array([f for turns in table.turns for f in turns], dtype=np.intp)
+    return _Csr(
+        np.concatenate(([0], np.cumsum(degree, dtype=np.intp))),
+        src,
+        succ,
+        src * len(degree) + succ,
+        np.array([a for turns in table.turns for a in turns.values()], dtype=np.float64),
+        np.array(table.x, dtype=np.float64),
+    )
+
+
+def _entries(csr: _Csr, d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The entries of the steps ``d[i] -> f[i]``; each must be in the table."""
+    return np.searchsorted(csr.key, d * len(csr.x) + f)
+
+
+def _weigh_steps(csr: _Csr, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(turning sums, edge products) of the walks in the rows of ``steps``,
+    summed in walk order, as ``walk_weight`` sums them."""
+    turning = np.zeros(len(steps))
+    product = np.ones(len(steps))
+    for a, b in zip(steps.T, steps.T[1:]):
+        turning = turning + csr.angle[_entries(csr, a, b)]
+        product = product * csr.x[a]
     return turning, product
 
 
-def _walks(
-    table: _StepTable, max_len: int, root: int | None
-) -> Iterator[tuple[list[int], float, float]]:
-    """Every walk of length 0..max_len from ``root`` (or from each edge in turn), in
-    lexicographic step order: a walk comes just before its extensions.  Yields one
-    step list, extended and shrunk in place (copy it to keep it), with the walk's
-    turning sum and edge product."""
-    turns, x = table
-    seq: list[int] = []
-    turning = [0.0]  # turning[k]: the turning sum of the walk seq[:k]
-    product = [1.0]  # product[k]: x over seq[:k], the edge product of its extensions
-    starts = range(len(x)) if root is None else (root,)
-    pending = [((d, 0.0) for d in starts)]
-    while pending:  # pending[k]: the untried steps after the first k of seq
-        for f, angle in pending[-1]:
-            t = turning[-1] + angle
-            p = product[-1]
-            seq.append(f)
-            yield seq, t, p
-            turning.append(t)
-            product.append(p * x[f])
-            pending.append(iter(turns[f].items() if len(seq) <= max_len else ()))
-            break
-        else:
-            pending.pop()
-            if seq:
-                seq.pop()
-                turning.pop()
-                product.pop()
+class _Level(NamedTuple):
+    """The walks of one length, in lexicographic order.  Walk i extends walk
+    ``parent[i]`` of the level before along entry ``entry[i]`` onto
+    ``last[i]``; it starts with ``root[i]`` and has turning sum ``t[i]`` and
+    edge product ``p[i]``.  At the first level ``parent`` indexes the prefix
+    rows and ``entry`` is -1."""
+
+    parent: np.ndarray
+    entry: np.ndarray
+    last: np.ndarray
+    root: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+
+
+def _levels(csr: _Csr, prefix: np.ndarray, depth: int) -> list[_Level]:
+    """The walk enumerator: the walks that extend the rows of ``prefix`` (walks
+    of one length, in lexicographic order) by 0..depth steps, one level per
+    length.  Children follow their parents' order, each parent's in ascending
+    step order, so every level is in lexicographic order.  A child weighs
+    ``t + angle`` and ``p * x[last]`` of its parent: the float operations of
+    ``walk_weight`` in the same order, so the weights are bit-identical."""
+    rows = np.arange(len(prefix))
+    t, p = _weigh_steps(csr, prefix)
+    levels = [_Level(rows, np.full(len(rows), -1), prefix[:, -1], prefix[:, 0], t, p)]
+    for _ in range(depth):
+        up = levels[-1]
+        first = csr.start[up.last]
+        degree = csr.start[up.last + 1] - first
+        parent = np.repeat(np.arange(len(degree)), degree)
+        # Children of parent i take entries first[i], first[i] + 1, ...
+        entry = np.repeat(first - (np.cumsum(degree) - degree), degree)
+        entry += np.arange(len(entry))
+        t = up.t[parent]
+        t += csr.angle[entry]
+        p = up.p[parent]
+        p *= csr.x[up.last][parent]
+        levels.append(_Level(parent, entry, csr.succ[entry], up.root[parent], t, p))
+    return levels
+
+
+def _steps(prefix: np.ndarray, levels: list[_Level], n: int, rows: np.ndarray) -> np.ndarray:
+    """The steps of the walks ``rows`` of ``levels[n]``, one walk per row."""
+    columns = []
+    for level in levels[n:0:-1]:
+        columns.append(level.last[rows])
+        rows = level.parent[rows]
+    return np.column_stack([prefix[rows]] + columns[::-1])
+
+
+def _subtree_sizes(csr: _Csr, depth: int) -> list[np.ndarray]:
+    """``sizes[r][d]``: the number of walks of length 0..r that start with d."""
+    sizes = [np.ones(len(csr.x), dtype=np.int64)]
+    for _ in range(depth):
+        ahead = np.concatenate(([0], np.cumsum(sizes[-1][csr.succ])))
+        sizes.append(1 + ahead[csr.start[1:]] - ahead[csr.start[:-1]])
+    return sizes
+
+
+Group = tuple[np.ndarray, list[_Level]]
+
+
+def _groups(csr: _Csr, roots: Iterable[int], depth: int) -> Iterator[Group]:
+    """The walks of length 0..depth from ``roots`` (ascending), as consecutive
+    groups in lexicographic order, each the prefix rows and ``_levels`` of
+    their extensions.  Each group's walk count is counted from the table
+    before it is enumerated and stays within ``_GROUP_CAP``: a group is
+    consecutive subtrees while they fit, and a subtree too large alone is its
+    first walk alone, then the groups of its children's subtrees."""
+    sizes = _subtree_sizes(csr, depth)
+
+    def split(prefix: np.ndarray) -> Iterator[Group]:
+        rest = depth - (prefix.shape[1] - 1)
+        a, total = 0, 0
+        for i, size in enumerate(sizes[rest][prefix[:, -1]].tolist()):
+            if total + size > _GROUP_CAP and a < i:
+                yield prefix[a:i], _levels(csr, prefix[a:i], rest)
+                a, total = i, 0
+            if size <= _GROUP_CAP:
+                total += size
+                continue
+            d = prefix[i, -1]
+            succ = csr.succ[csr.start[d] : csr.start[d + 1]]
+            yield prefix[i : i + 1], _levels(csr, prefix[i : i + 1], 0)
+            yield from split(np.column_stack((np.repeat(prefix[i : i + 1], len(succ), 0), succ)))
+            a = i + 1
+        if a < len(prefix):
+            yield prefix[a:], _levels(csr, prefix[a:], rest)
+
+    yield from split(np.array(list(roots), dtype=np.intp).reshape(-1, 1))
+
+
+Picked = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _pick(group: Group, keep) -> Picked:
+    """(steps, turning sums, edge products) of the walks of ``group`` that
+    ``keep(length, level)`` marks, one triple per level that has any."""
+    prefix, levels = group
+    picked = []
+    for i, level in enumerate(levels):
+        rows = np.flatnonzero(keep(prefix.shape[1] - 1 + i, level))
+        if len(rows):
+            picked.append((_steps(prefix, levels, i, rows), level.t[rows], level.p[rows]))
+    return picked
+
+
+def _every_walk(n: int, level: _Level) -> np.ndarray:
+    return np.ones(len(level.last), dtype=bool)
+
+
+def _loops_up_to(max_len: int):
+    """The ``keep`` of ``_pick`` that marks the loops of length 2..max_len."""
+
+    def keep(n: int, level: _Level) -> np.ndarray:
+        return (level.last == level.root) & (2 <= n <= max_len)
+
+    return keep
+
+
+def _in_order(picked: Picked) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The step tuples of ``picked`` in lexicographic order, and that order as
+    a permutation of its rows taken level after level."""
+    if not picked:
+        return [], np.zeros(0, dtype=np.intp)
+    width = max(steps.shape[1] for steps, _, _ in picked)
+    padded = np.full((sum(len(steps) for steps, _, _ in picked), width), -1)
+    at = 0
+    for steps, _, _ in picked:
+        padded[at : at + len(steps), : steps.shape[1]] = steps
+        at += len(steps)
+    order = np.lexsort(padded.T[::-1])
+    keys = [tuple(row) for steps, _, _ in picked for row in steps.tolist()]
+    return [keys[i] for i in order.tolist()], order
+
+
+def _all_walks(g: EmbeddedGraph, max_len: int, root: int | None, keep) -> list[tuple[int, ...]]:
+    """The step tuples of the walks up to ``max_len`` from ``root`` (or from
+    every edge) that ``keep`` marks, in lexicographic order; no angles."""
+    roots = range(g.num_directed) if root is None else (root,)
+    csr = _csr(_step_table(g, weigh=False))
+    walks = []
+    for group in _groups(csr, roots, max(max_len, 0)):
+        walks += _in_order(_pick(group, keep))[0]
+    return walks
 
 
 def enumerate_walks(
@@ -307,8 +466,7 @@ def enumerate_walks(
     _check_len_cap(max_len)
     if start is not None and not 0 <= start < g.num_directed:
         raise ValueError(f"start edge {start} out of range")
-    walks = _walks(_step_table(g, weigh=False), max_len, start)
-    return [Walk(tuple(seq)) for seq, _, _ in walks]
+    return [Walk(steps) for steps in _all_walks(g, max_len, start, _every_walk)]
 
 
 def enumerate_rooted_loops(
@@ -323,8 +481,7 @@ def enumerate_rooted_loops(
     _check_len_cap(max_len)
     if root is not None and not 0 <= root < g.num_directed:
         raise ValueError(f"root edge {root} out of range")
-    walks = _walks(_step_table(g, weigh=False), max_len, root)
-    return [Loop(tuple(s)) for s, _, _ in walks if len(s) > 2 and s[-1] == s[0]]
+    return [Loop(steps) for steps in _all_walks(g, max_len, root, _loops_up_to(max_len))]
 
 
 def _traces(m: np.ndarray, max_n: int) -> Iterator[complex]:
@@ -414,9 +571,25 @@ class GenericCancellationReport:
 Weighed = dict[tuple[int, ...], tuple[complex, float]]
 
 
-def _weighed_loops(walks: Iterable[tuple[list[int], float, float]]) -> Weighed:
-    """steps -> (weight, edge product) of the loops among ``walks``, in order."""
-    return {tuple(s): (_value(t, p), p) for s, t, p in walks if len(s) > 2 and s[-1] == s[0]}
+def _add_loops(weighed: Weighed, loops: Picked) -> None:
+    """Add ``loops`` (one group's, from ``_pick``) to ``weighed`` in
+    lexicographic order, each weighed as ``walk_weight`` weighs it."""
+    if not loops:
+        return
+    keys, order = _in_order(loops)
+    t = np.concatenate([t for _, t, _ in loops])[order].tolist()
+    p = np.concatenate([p for _, _, p in loops])[order].tolist()
+    weighed.update(zip(keys, [(_value(a, b), b) for a, b in zip(t, p)]))
+
+
+def _weighed_loops(table: _StepTable, max_len: int) -> Weighed:
+    """steps -> (weight, edge product) of the loops of length 2..max_len, in
+    lexicographic order."""
+    weighed: Weighed = {}
+    csr = _csr(table)
+    for group in _groups(csr, range(len(table.x)), max_len):
+        _add_loops(weighed, _pick(group, _loops_up_to(max_len)))
+    return weighed
 
 
 def _generic_scan(
@@ -460,6 +633,5 @@ def verify_generic_cancellation(
     if not 0 <= e < g.num_directed:
         raise ValueError(f"directed edge {e} out of range")
     _require_convergence(g)
-    table = _step_table(g, weigh=True, loops_only=True)
-    weighed = _weighed_loops(_walks(table, max_n, None))
+    weighed = _weighed_loops(_step_table(g, weigh=True, loops_only=True), max_n)
     return _generic_scan(g, weighed, max_n)[e]

@@ -174,8 +174,8 @@ def partition_function_oracle(g: EmbeddedGraph) -> float:
     return total
 
 
-def ising_partition_spin_sum(g: EmbeddedGraph, beta: float, couplings) -> float:
-    """Ising partition function by summing over all 2^|V| spin configurations."""
+def _spin_energies(g: EmbeddedGraph, couplings) -> np.ndarray:
+    """sum_k J_k s_u s_v for each of the 2^|V| spin configurations."""
     nv = g.num_vertices
     if nv > SPIN_VERTEX_CAP:
         raise ValueError(
@@ -192,4 +192,17 @@ def ising_partition_spin_sum(g: EmbeddedGraph, beta: float, couplings) -> float:
         su = 1.0 - 2.0 * ((configs >> e.u) & 1)
         sv = 1.0 - 2.0 * ((configs >> e.v) & 1)
         energy += j * su * sv
-    return float(np.exp(beta * energy).sum())
+    return energy
+
+
+def ising_partition_spin_sum(g: EmbeddedGraph, beta: float, couplings) -> float:
+    """Ising partition function by summing over all 2^|V| spin configurations."""
+    return float(np.exp(beta * _spin_energies(g, couplings)).sum())
+
+
+def ising_log_partition_spin_sum(g: EmbeddedGraph, beta: float, couplings) -> float:
+    """log of ``ising_partition_spin_sum``, by log-sum-exp over the same
+    energies, so it stays finite where the linear sum overflows."""
+    exponent = beta * _spin_energies(g, couplings)
+    top = exponent.max()
+    return float(top + np.log(np.exp(exponent - top).sum()))

@@ -59,8 +59,13 @@ class DetResult:
 
 
 def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
-    """Assemble the directed-edge transition matrix for a validated graph."""
+    """Assemble the directed-edge transition matrix; validates ``g`` first."""
     require_valid_embedding(g)
+    return _transition_matrix(g)
+
+
+def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
+    """The transition matrix of a graph that has been validated."""
     n = g.num_directed
     rows, cols = [], []
     for d in range(n):

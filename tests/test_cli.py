@@ -557,6 +557,27 @@ def test_decorate_validates_input_and_output_once_each(capsys, bowtie_file, vali
     assert max_degree(validated[1]) == 3
 
 
+def test_verify_validates_the_graph_once(capsys, tmp_path, bowtie_file, validated):
+    # A degree-3 graph has no decoration to validate; the bowtie's is
+    # validated once more, where it is built.
+    path = tmp_path / "hex.json"
+    dump_graph(gen_hex(2, 2, 0.3), path)
+    code, _, _ = run(capsys, "verify", str(path), "--max-loop-len", "6")
+    assert code == 0
+    assert [g.vertices for g in validated] == [load_graph(path).vertices]
+    validated.clear()
+    code, _, _ = run(capsys, "verify", bowtie_file, "--max-loop-len", "6")
+    assert code == 0
+    assert len(validated) == 2
+    assert validated[0].vertices == load_graph(bowtie_file).vertices
+
+
+def test_verify_refuses_a_bad_drawing_before_a_bad_length(capsys, crossing_file):
+    code, out, err = run(capsys, "verify", crossing_file, "--max-loop-len", "17")
+    assert (code, out) == (3, "")
+    assert err.startswith("kacward: error[embedding]: invalid embedding:")
+
+
 @pytest.mark.parametrize("query", QUERIES + [["verify"]])
 def test_crossing_exits_3_on_every_command(capsys, crossing_file, query):
     code, out, err = run(capsys, query[0], crossing_file, *query[1:])

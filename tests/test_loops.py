@@ -240,7 +240,7 @@ def test_enumeration_deterministic_and_capped():
 
 # Reference enumerators: the former recursive depth-first searches, one for
 # walks and one for the loops rooted at one edge, kept here to pin the shared
-# walk generator's output and order.
+# walk enumerator's output and order.
 def reference_walks(g, max_len, root):
     out = []
 
@@ -312,14 +312,17 @@ def test_enumerators_reject_bad_roots():
 
 
 def prefix_weight_mismatches(g, max_len, table):
-    """Walks up to ``max_len`` whose weight from the walk generator differs in any
+    """Walks up to ``max_len`` whose weight from the walk enumerator differs in any
     bit from ``walk_weight``."""
     bad = []
-    for seq, turning, product in loops._walks(table, max_len, None):
-        ww = walk_weight(g, Walk(tuple(seq)))
-        got = (loops._value(turning, product), turning, product)
-        if got != (ww.value, ww.turning_sum, ww.edge_product):
-            bad.append(tuple(seq))
+    csr = loops._csr(table)
+    for group in loops._groups(csr, range(g.num_directed), max_len):
+        for steps, turnings, products in loops._pick(group, loops._every_walk):
+            for seq, turning, product in zip(steps.tolist(), turnings.tolist(), products.tolist()):
+                ww = walk_weight(g, Walk(tuple(seq)))
+                got = (loops._value(turning, product), turning, product)
+                if got != (ww.value, ww.turning_sum, ww.edge_product):
+                    bad.append(tuple(seq))
     return bad
 
 

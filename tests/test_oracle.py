@@ -11,8 +11,11 @@ from kacward import (
     enumerate_even_subgraphs_naive,
     even_subgraphs_from_basis,
     gen_square,
+    ising_log_partition_spin_sum,
+    ising_partition_kw,
     ising_partition_spin_sum,
     partition_function_oracle,
+    uniform_ising,
 )
 from conftest import (
     disjoint_union,
@@ -206,3 +209,33 @@ def test_cycle_dim_cap_is_loud():
 def test_spin_sum_rejects_coupling_mismatch():
     with pytest.raises(ValueError, match="couplings"):
         ising_partition_spin_sum(make_triangle(), 1.0, [1.0])
+
+
+def test_log_spin_sum_is_the_log_of_the_spin_sum(corpus):
+    for g in corpus[:20]:
+        couplings = [1.0 - 2.0 * e.weight for e in g.edges]
+        for beta in (0.0, 0.3, 1.7):
+            z = ising_partition_spin_sum(g, beta, couplings)
+            log_z = ising_log_partition_spin_sum(g, beta, couplings)
+            assert log_z == pytest.approx(math.log(z), rel=1e-13, abs=1e-13)
+
+
+def test_log_spin_sum_stays_finite_where_the_spin_sum_overflows():
+    # The 3x3 grid has 16 vertices; at beta = 40 its ground states weigh
+    # exp(960), past the largest double.
+    g = gen_square(3, 3, 0.5)
+    inst = uniform_ising(g, 40.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert ising_partition_spin_sum(g, 40.0, inst.couplings) == math.inf
+    log_z = ising_log_partition_spin_sum(g, 40.0, inst.couplings)
+    _, log_z_kw = ising_partition_kw(inst)
+    assert math.isfinite(log_z)
+    assert log_z == pytest.approx(log_z_kw, rel=1e-12)
+    assert log_z == pytest.approx(960.693, abs=1e-3)
+
+
+def test_log_spin_sum_checks_like_the_spin_sum():
+    with pytest.raises(ValueError, match="too many vertices"):
+        ising_log_partition_spin_sum(gen_square(4, 4, 0.5), 1.0, [1.0] * 40)
+    with pytest.raises(ValueError, match="couplings"):
+        ising_log_partition_spin_sum(make_triangle(), 1.0, [1.0])

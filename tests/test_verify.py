@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from kacward import (
@@ -37,16 +38,23 @@ def results_by_name(g, max_len):
     return {r.name: r for r in run_suite(g, max_len)}
 
 
-def perturb_loop_weight(monkeypatch, steps):
-    """Make the walk generator that ``verify`` weighs with yield 1.01 times the
-    weight of one walk (its edge product scaled)."""
-    real = verify._walks
+def perturb_loop_weight(monkeypatch, *targets, factor=1.01):
+    """Make the walk enumerator that ``verify`` weighs with give ``factor`` times
+    the weight of each target walk (its edge product scaled).  The scaling
+    comes after the enumeration, so no extension of a target inherits it."""
+    real = loops._levels
 
-    def skewed(*args):
-        for seq, turning, product in real(*args):
-            yield seq, turning, (product * 1.01 if tuple(seq) == steps else product)
+    def skewed(csr, prefix, depth):
+        levels = real(csr, prefix, depth)
+        for steps in targets:
+            n = len(steps) - prefix.shape[1]
+            if 0 <= n < len(levels):
+                rows = loops._steps(prefix, levels, n, np.arange(len(levels[n].last)))
+                levels[n].p[np.all(rows == steps, axis=1)] *= factor
+        return levels
 
-    monkeypatch.setattr(verify, "_walks", skewed)
+    monkeypatch.setattr(loops, "_levels", skewed)
+    monkeypatch.setattr(verify, "_levels", skewed)
 
 
 def skewed_walk_weight(steps):
@@ -140,7 +148,7 @@ def test_suite_builds_the_transition_matrix_and_the_oracle_once(monkeypatch):
     # kw-vs-oracle and trace-identity share one T, and kw-vs-oracle corrupts a
     # copy of it; kw-vs-oracle and decoration share the oracle's Z of g.
     g = make_bowtie(0.25)
-    builds = count_calls(monkeypatch, verify, "build_transition_matrix")
+    builds = count_calls(monkeypatch, verify, "_transition_matrix")
     oracles = count_calls(monkeypatch, verify, "partition_function_oracle")
     results = run_suite(g, 6, corrupt_transition=True)
     assert [r.status for r in results] == ["FAIL"] + ["pass"] * 5
@@ -199,46 +207,53 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_suite_weighs_each_walk_once(monkeypatch):
-    # Weights come from the walk generator as it reaches each walk, and the
-    # reversal-pair walks' reversals from the step table; no walk is weighed
-    # by ``walk_weight``.  The pass that compares the walks also collects the
-    # loops.
+    # Weights come from the walk enumerator as it reaches each walk, and the
+    # reversals of the reversal-pair walks and of the loops from the step
+    # table; no walk is weighed by ``walk_weight``.  The pass that compares
+    # the walks also collects the loops.
     g = make_bowtie(0.25)
     walks = enumerate_walks(g, 10)
     expected = (
         len(enumerate_walks(g, 5))  # the half-walk table
         + len(walks)  # the pass over walks up to 2 * 5
     )
-    real = verify._walks
+    real = loops._levels
     drawn = []
 
     def counting(*args):
-        for item in real(*args):
-            drawn.append(tuple(item[0]))
-            yield item
+        levels = real(*args)
+        drawn.extend(len(level.last) for level in levels)
+        return levels
 
-    monkeypatch.setattr(verify, "_walks", counting)
+    monkeypatch.setattr(loops, "_levels", counting)
+    monkeypatch.setattr(verify, "_levels", counting)
     weighs = count_calls(monkeypatch, loops, "walk_weight")
     # walk_weight validates every walk it weighs, however it is reached.
     validations = count_calls(monkeypatch, loops, "_check_in_graph")
-    reversals = count_calls(monkeypatch, verify, "_table_weight")
+    reversals = count_calls(monkeypatch, verify, "_weigh_steps")
+    scalar = count_calls(monkeypatch, verify, "_reversal_weight")
     run_suite(g, 10)
-    assert (len(weighs), len(validations)) == (0, 0)
-    assert len(drawn) == expected == 1884
-    assert len(reversals) == sum(w.last == w.first ^ 1 for w in walks) == 152
+    assert (len(weighs), len(validations), len(scalar)) == (0, 0, 0)
+    assert sum(drawn) == expected == 1884
+    pairs = sum(w.last == w.first ^ 1 for w in walks)
+    reversed_walks = sum(len(args[1]) for args in reversals)
+    assert reversed_walks == pairs + len(enumerate_rooted_loops(g, 10))
+    assert pairs == 152
 
 
 def test_one_walk_pass_and_one_generic_scan_per_suite(monkeypatch):
     # Two weighed passes share one step table: the half-walk table up to 4,
-    # and the walk pass up to 9, which also collects the loops.
-    passes = count_calls(monkeypatch, verify, "_walks")
+    # and the walk pass up to 9 from every edge, which also collects the loops.
+    halves = count_calls(monkeypatch, verify, "_levels")
+    passes = count_calls(monkeypatch, verify, "_groups")
     tables = count_calls(monkeypatch, verify, "_step_table")
     scans = count_calls(monkeypatch, verify, "_generic_scan")
     results = run_suite(make_bowtie(0.25), 9)
     assert [r.status for r in results] == ["pass"] * 6
-    assert [args[1:] for args in passes] == [(4, None), (9, None)]
+    assert [args[2] for args in halves] == [4]
+    assert [(list(args[1]), args[2]) for args in passes] == [(list(range(12)), 9)]
     assert (len(tables), len(scans)) == (1, 1)
-    assert len({id(args[0]) for args in passes}) == 1
+    assert halves[0][0] is passes[0][0]
 
 
 # Reference checks: the former weight-properties (every composable pair of
@@ -382,8 +397,8 @@ def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
     for g, max_len in budgeted_cases(corpus):
         full = loops._step_table(g, weigh=True)
         pruned = loops._step_table(g, weigh=True, loops_only=True)
-        assert list(loops._weighed_loops(loops._walks(pruned, max_len, None)).items()) == (
-            list(loops._weighed_loops(loops._walks(full, max_len, None)).items())
+        assert list(loops._weighed_loops(pruned, max_len).items()) == (
+            list(loops._weighed_loops(full, max_len).items())
         )
 
 
@@ -435,7 +450,7 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
     monkeypatch, make, max_len
 ):
     # Both checks make the same comparisons, so skewing any one walk's weight
-    # (in the walk generator for the check, in ``walk_weight`` for the
+    # (in the walk enumerator for the check, in ``walk_weight`` for the
     # reference, which also reads it in the loop list) fails both or neither.
     g = make(0.25)
     table = step_table(g)
@@ -449,3 +464,155 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
         assert new.status == reference_weight_properties(g, max_len, weighed, weigh).status
         statuses.add(new.status)
     assert statuses == {"pass", "FAIL"}
+
+
+# Grouping: the walk pass enumerates consecutive subtrees in groups of at most
+# ``loops._GROUP_CAP`` walks; the split must not change any answer.
+def count_groups(monkeypatch):
+    """The walk count of each group that the walk pass of ``verify`` draws."""
+    real = verify._groups
+    sizes = []
+
+    def counting(*args):
+        for group in real(*args):
+            sizes.append(sum(len(level.last) for level in group[1]))
+            yield group
+
+    monkeypatch.setattr(verify, "_groups", counting)
+    return sizes
+
+
+def pass_depth(max_len):
+    return max(max_len, 2 * max(max_len // 2, 1))
+
+
+def small_cases(corpus):
+    """(graph, L) on the named graphs and the corpus: the longest L <= 8 whose
+    walk pass draws at most a quarter of the reference budget, else L = 1
+    within the budget."""
+    named = [make_triangle(0.25), make_square_cycle(0.3), make_path3(0.4), make_bowtie(0.25)]
+    for g in named + corpus:
+        counts = walk_counts(g, 8)
+        fits = [n for n in range(1, 9) if counts[pass_depth(n)] <= REFERENCE_WALK_BUDGET // 4]
+        if fits or counts[pass_depth(1)] <= REFERENCE_WALK_BUDGET:
+            yield g, (fits or [1])[-1]
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+def test_groups_of_any_size_give_the_same_check_and_loops(monkeypatch, corpus, cap):
+    # With a cap of 1 every root and every prefix is a group of its own; with
+    # 10, consecutive subtrees share a group and larger ones are split.
+    cases = 0
+    for g, max_len in small_cases(corpus):
+        table = step_table(g)
+        walks = walk_counts(g, pass_depth(max_len))[pass_depth(max_len)]
+        with monkeypatch.context() as m:
+            sizes = count_groups(m)
+            one = verify._check_weight_properties(g, max_len, table)
+        assert sizes == [walks]
+        with monkeypatch.context() as m:
+            m.setattr(loops, "_GROUP_CAP", cap)
+            sizes = count_groups(m)
+            split = verify._check_weight_properties(g, max_len, table)
+            enumerated = enumerate_walks(g, max_len)
+            weighed = loops._weighed_loops(table, max_len)
+        assert split[0] == one[0]
+        assert list(split[1].items()) == list(one[1].items())
+        assert sum(sizes) == walks and max(sizes) <= cap
+        assert enumerated == enumerate_walks(g, max_len)
+        assert list(weighed.items()) == list(one[1].items())
+        cases += 1
+    assert cases >= 200
+
+
+@pytest.mark.parametrize("make, every", [(make_triangle, 1), (make_bowtie, 23)])
+def test_a_skewed_walk_fails_alike_in_groups_of_one(monkeypatch, make, every):
+    # Every walk up to 4 is compared at its splits; of length 5, only the
+    # reversal pairs and the loops are checked.
+    g = make(0.25)
+    max_len = 5
+    table = step_table(g)
+    statuses = set()
+    for target in enumerate_walks(g, max_len)[::every]:
+        with monkeypatch.context() as m:
+            perturb_loop_weight(m, target.steps)
+            one = verify._check_weight_properties(g, max_len, table)
+            m.setattr(loops, "_GROUP_CAP", 1)
+            split = verify._check_weight_properties(g, max_len, table)
+        assert split[0] == one[0]
+        assert list(split[1].items()) == list(one[1].items())
+        statuses.add(one[0].status)
+    assert statuses == {"pass", "FAIL"}
+
+
+def group_of_each_walk(monkeypatch, max_len):
+    """steps -> index of the group of the walk pass of ``verify`` that holds
+    it, for the walks of length ``max_len``."""
+    real = verify._groups
+    where = {}
+
+    def recording(*args):
+        for index, (prefix, levels) in enumerate(real(*args)):
+            n = max_len - (prefix.shape[1] - 1)
+            if 0 <= n < len(levels):
+                rows = np.arange(len(levels[n].last))
+                for steps in loops._steps(prefix, levels, n, rows).tolist():
+                    where[tuple(steps)] = index
+            yield prefix, levels
+
+    monkeypatch.setattr(verify, "_groups", recording)
+    return where
+
+
+@pytest.mark.parametrize(
+    "predicate, message",
+    [
+        (lambda w: w.last == w.first ^ 1, "reversal-pair walk"),
+        (lambda w: w.last == w.first, "loop"),
+    ],
+    ids=["reversal-pair", "loop"],
+)
+@pytest.mark.parametrize("cap", [None, 1, 64])
+def test_the_lexicographically_first_of_two_failures_is_reported(
+    monkeypatch, predicate, message, cap
+):
+    # Walks of length 9 are beyond the multiplicativity splits (4 + 4), so a
+    # skewed one fails its own check only.  The first and the last such walk
+    # share the one group of the default cap and lie in different groups of
+    # the small ones.
+    g = make_bowtie(0.25)
+    targets = [w.steps for w in enumerate_walks(g, 9) if w.length == 9 and predicate(w)]
+    first, last = targets[0], targets[-1]
+    if cap is not None:
+        monkeypatch.setattr(loops, "_GROUP_CAP", cap)
+    with monkeypatch.context() as m:
+        perturb_loop_weight(m, last)
+        alone = verify._check_weight_properties(g, 9, step_table(g))[0]
+    assert alone.detail.startswith(f"{message} {last}:")
+    where = group_of_each_walk(monkeypatch, 9)
+    perturb_loop_weight(monkeypatch, first, last)
+    both = verify._check_weight_properties(g, 9, step_table(g))[0]
+    assert both.status == "FAIL"
+    assert both.detail.startswith(f"{message} {first}:")
+    assert (where[first] == where[last]) == (cap is None)
+
+
+@pytest.mark.parametrize(
+    "make, predicate, message",
+    [
+        (make_triangle, lambda w: w.length == 4, "multiplicativity fails for"),
+        (make_bowtie, lambda w: w.length == 9 and w.last == w.first ^ 1, "reversal-pair walk"),
+        (make_triangle, lambda w: w.length == 9 and w.last == w.first, "loop"),
+    ],
+    ids=["multiplicativity", "reversal-pair", "loop"],
+)
+def test_a_skew_just_past_the_tolerance_fails(monkeypatch, make, predicate, message):
+    # Weight 2 makes the weights exceed 1, so the tolerance is relative; a
+    # skew of 1.5e-12 is 1.5 tolerances, and the vectorised screen must flag it
+    # for the scalar check to see.
+    g = make(2.0)
+    target = next(w for w in enumerate_walks(g, 9) if predicate(w))
+    perturb_loop_weight(monkeypatch, target.steps, factor=1.0 + 1.5e-12)
+    result = verify._check_weight_properties(g, 9, step_table(g))[0]
+    assert result.status == "FAIL"
+    assert result.detail.startswith(message)
