@@ -12,8 +12,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import GraphFormatError
 
@@ -46,6 +47,23 @@ def directed_pair(k: int) -> tuple[int, int]:
     return 2 * k, 2 * k + 1
 
 
+class _Geometry:
+    """What a drawing determines, whatever its weights; filled on first use.
+
+    One record per constructed graph, shared by reference with every
+    ``with_weights`` copy, and freed with the last graph that holds it.
+    ``violations`` is the validation verdict; ``layout`` belongs to
+    :mod:`kacward.transition` (step pattern, half-angle phases and the sparse
+    layout of ``I - T``).
+    """
+
+    __slots__ = ("violations", "layout", "__weakref__")
+
+    def __init__(self):
+        self.violations = None
+        self.layout = None
+
+
 class EmbeddedGraph:
     """Immutable graph with plane coordinates and weighted straight-line edges.
 
@@ -54,9 +72,21 @@ class EmbeddedGraph:
     numbers).  Geometric defects such as crossing edges are *reported* by
     :func:`validate_embedding`, not rejected here, so that diagnostics can
     list all of them.
+
+    The weights are a read-only float array beside the topology; ``edges``
+    is built from them on first read.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_degrees", "_tails", "_heads")
+    __slots__ = (
+        "_vertices",
+        "_out",
+        "_degrees",
+        "_tails",
+        "_heads",
+        "_geometry",
+        "_weights",
+        "_edges",
+    )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         vs = []
@@ -70,7 +100,10 @@ class EmbeddedGraph:
                 raise ValueError(f"vertex {i} has non-finite coordinates ({x}, {y})")
             vs.append(Point(x, y))
 
-        es = []
+        out: list[list[int]] = [[] for _ in vs]
+        tails = []
+        heads = []
+        weights = []
         seen: set[tuple[int, int]] = set()
         for k, e in enumerate(edges):
             if isinstance(e, Edge):
@@ -88,23 +121,20 @@ class EmbeddedGraph:
             seen.add(key)
             if not math.isfinite(w):
                 raise ValueError(f"edge {k} has non-finite weight {w}")
-            es.append(Edge(u, v, w))
-
-        out: list[list[int]] = [[] for _ in vs]
-        tails = []
-        heads = []
-        for k, e in enumerate(es):
-            out[e.u].append(2 * k)
-            out[e.v].append(2 * k + 1)
-            tails.extend((e.u, e.v))
-            heads.extend((e.v, e.u))
+            out[u].append(2 * k)
+            out[v].append(2 * k + 1)
+            tails.extend((u, v))
+            heads.extend((v, u))
+            weights.append(w)
 
         object.__setattr__(self, "_vertices", tuple(vs))
-        object.__setattr__(self, "_edges", tuple(es))
         object.__setattr__(self, "_out", tuple(tuple(o) for o in out))
         object.__setattr__(self, "_degrees", tuple(len(o) for o in out))
         object.__setattr__(self, "_tails", tuple(tails))
         object.__setattr__(self, "_heads", tuple(heads))
+        object.__setattr__(self, "_geometry", _Geometry())
+        object.__setattr__(self, "_weights", _frozen(np.array(weights, dtype=np.float64)))
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -117,6 +147,9 @@ class EmbeddedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            ends = zip(self._tails[0::2], self._heads[0::2], self._weights.tolist())
+            object.__setattr__(self, "_edges", tuple(Edge(u, v, w) for u, v, w in ends))
         return self._edges
 
     @property
@@ -125,11 +158,11 @@ class EmbeddedGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._weights)
 
     @property
     def num_directed(self) -> int:
-        return 2 * len(self._edges)
+        return len(self._tails)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -149,11 +182,11 @@ class EmbeddedGraph:
         return self._heads[d]
 
     def edge_weight(self, k: int) -> float:
-        return self._edges[k].weight
+        return self._weights[k].item()
 
     def directed_weight(self, d: int) -> float:
         """Weight of the undirected edge underlying directed id ``d``."""
-        return self._edges[d >> 1].weight
+        return self._weights[d >> 1].item()
 
     def direction(self, d: int) -> tuple[float, float]:
         """Displacement vector (head - tail) of directed edge ``d``."""
@@ -162,28 +195,29 @@ class EmbeddedGraph:
         return h.x - t.x, h.y - t.y
 
     def weights(self) -> tuple[float, ...]:
-        return tuple(e.weight for e in self._edges)
+        return tuple(self._weights.tolist())
 
     def with_weights(self, weights: Sequence[float]) -> "EmbeddedGraph":
         """Same geometry and topology, new edge weights.
 
-        Shares this graph's immutable vertex and adjacency tuples; only the
-        edges are rebuilt, and only the weights are checked.
+        Shares this graph's vertex and adjacency tuples and its geometry
+        record, so a validation verdict or transition layout computed for
+        either graph serves both; only the weights are checked.
         """
-        if len(weights) != len(self._edges):
+        w = np.array(weights, dtype=np.float64)
+        if w.shape != self._weights.shape:
             raise ValueError(
-                f"expected {len(self._edges)} weights, got {len(weights)}"
+                f"expected {len(self._weights)} weights, got {len(weights)}"
             )
-        es = []
-        for k, (e, w) in enumerate(zip(self._edges, weights)):
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"edge {k} has non-finite weight {w}")
-            es.append(Edge(e.u, e.v, w))
+        finite = np.isfinite(w)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"edge {k} has non-finite weight {w[k].item()}")
         g = object.__new__(EmbeddedGraph)
         for name in self.__slots__:
             object.__setattr__(g, name, getattr(self, name))
-        object.__setattr__(g, "_edges", tuple(es))
+        object.__setattr__(g, "_weights", _frozen(w))
+        object.__setattr__(g, "_edges", None)
         return g
 
     # -- equality / hashing (value semantics; safe because immutable) ---
@@ -191,13 +225,23 @@ class EmbeddedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddedGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return (
+            self._vertices == other._vertices
+            and self._tails == other._tails
+            and bool(np.array_equal(self._weights, other._weights))
+        )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self._tails, self.weights()))
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph({self.num_vertices} vertices, {self.num_edges} edges)"
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only so that graphs sharing it stay immutable."""
+    a.flags.writeable = False
+    return a
 
 
 def max_degree(g: EmbeddedGraph) -> int:
@@ -374,12 +418,10 @@ def _axis_cells(coords: list[float], n: int) -> tuple[int, list[int]]:
     return n, [min(last, int((c - lo) / size)) for c in coords]
 
 
-# Reweighted copies and beta sweeps reuse the latest geometry; entries hold whole keys.
-@lru_cache(maxsize=8)
 def _validate_geometry(
     vertices: tuple[Point, ...], endpoints: tuple[tuple[int, int], ...]
 ) -> tuple[Violation, ...]:
-    """Weight-independent geometry checks, cached so reweighted copies are free.
+    """Weight-independent geometry checks; ``validate_embedding`` keeps the verdict.
 
     Each non-zero-length edge goes into every cell of a uniform grid that its
     bounding box covers.  Only pairs of edges that share a cell and whose
@@ -464,10 +506,12 @@ def validate_embedding(g: EmbeddedGraph) -> ValidationReport:
     through a third vertex.  Never raises: a bad drawing yields a report
     with ``ok=False``.
     """
-    violations = _validate_geometry(
-        g.vertices, tuple((e.u, e.v) for e in g.edges)
-    )
-    return ValidationReport(ok=not violations, violations=violations)
+    geometry = g._geometry
+    if geometry.violations is None:
+        geometry.violations = _validate_geometry(
+            g.vertices, tuple(zip(g._tails[0::2], g._heads[0::2]))
+        )
+    return ValidationReport(ok=not geometry.violations, violations=geometry.violations)
 
 
 def require_valid_embedding(g: EmbeddedGraph) -> None:

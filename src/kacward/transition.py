@@ -7,12 +7,19 @@ nonzeros.  The determinant of ``I - transition`` equals the square of the
 even-subgraph generating function, which is how ``partition_function_kw``
 evaluates it.  ``I - transition`` is factored once per query by a sparse LU
 with a fill-reducing column ordering (SuperLU, COLAMD).
+
+Only the moduli ``x_e`` depend on the weights; the step pattern, the phases
+and the sparse layout of ``I - transition`` depend on the drawing alone.
+They are computed once per geometry record, which ``with_weights`` copies
+share, so a beta sweep pays per query only for the weights, one gather, one
+product and the factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +35,8 @@ class TransitionMatrix:
     """Complex transition matrix on the 2|E| directed edges, as COO triplets.
 
     Entry ``(rows[k], cols[k])`` holds ``values[k]``; every other entry is
-    zero and no position appears twice.
+    zero and no position appears twice.  ``rows`` and ``cols`` are read-only
+    arrays, shared by every graph with the same drawing.
     """
 
     size: int
@@ -64,8 +72,29 @@ def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
     return _transition_matrix(g)
 
 
-def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
-    """The transition matrix of a graph that has been validated."""
+class _Layout(NamedTuple):
+    """What the transition matrix and ``I - T`` take from the drawing alone.
+
+    ``rows``/``cols`` list the non-backtracking steps and ``phase`` their
+    ``exp(i * angle / 2)``; ``indptr``/``indices`` are the CSC pattern of
+    ``I - T``, whose data is ``concatenate((ones, -values))[order]``: the
+    order in which scipy's COO to CSC conversion (sorted by column, then by
+    row) places the identity's diagonal followed by the steps.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    phase: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+
+
+def _layout(g: EmbeddedGraph) -> _Layout:
+    """The layout of ``g``'s drawing, computed once per geometry record."""
+    geometry = g._geometry
+    if geometry.layout is not None:
+        return geometry.layout
     n = g.num_directed
     rows, cols = [], []
     for d in range(n):
@@ -81,9 +110,24 @@ def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
     fx, fy = step[cols, 0], step[cols, 1]
     angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
     angle[angle == -math.pi] = math.pi  # the turning angle lies in (-pi, pi]
-    weight = np.array(g.weights(), dtype=np.float64)[rows >> 1]
-    values = weight * np.exp(0.5j * angle)
-    return TransitionMatrix(size=n, rows=rows, cols=cols, values=values)
+    diag = np.arange(n)
+    all_rows = np.concatenate((diag, rows))
+    all_cols = np.concatenate((diag, cols))
+    order = np.lexsort((all_rows, all_cols))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
+    arrays = (rows, cols, np.exp(0.5j * angle), indptr, all_rows[order], order)
+    for a in arrays:  # shared by every graph with this geometry
+        a.flags.writeable = False
+    geometry.layout = _Layout(*arrays)
+    return geometry.layout
+
+
+def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
+    """The transition matrix of a graph that has been validated."""
+    layout = _layout(g)
+    values = g._weights[layout.rows >> 1] * layout.phase
+    return TransitionMatrix(size=g.num_directed, rows=layout.rows, cols=layout.cols, values=values)
 
 
 def _parity(perm: np.ndarray) -> int:
@@ -133,14 +177,9 @@ def kac_ward_determinant(g: EmbeddedGraph) -> DetResult:
         return DetResult(det=1.0 + 0.0j, log_abs_det=0.0, phase=0.0)
     from scipy.sparse import csc_array
 
-    diag = np.arange(tm.size)
-    a = csc_array(
-        (
-            np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values)),
-            (np.concatenate((diag, tm.rows)), np.concatenate((diag, tm.cols))),
-        ),
-        shape=(tm.size, tm.size),
-    )
+    layout = _layout(g)
+    data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))[layout.order]
+    a = csc_array((data, layout.indices, layout.indptr), shape=(tm.size, tm.size))
     log_abs, phase = _sparse_slogdet(a)
     mag = math.exp(log_abs) if log_abs < _LOG_OVERFLOW else math.inf
     det = complex(mag * math.cos(phase), mag * math.sin(phase))
@@ -182,7 +221,7 @@ def partition_function_kw(source: EmbeddedGraph | DetResult) -> float:
 
 def _contraction(g: EmbeddedGraph) -> tuple[float, float]:
     """(rho, max|x|), rho = (max_degree - 1) * max|x| the loop series' contraction."""
-    top = max((abs(e.weight) for e in g.edges), default=0.0)
+    top = float(np.max(np.abs(g._weights), initial=0.0))
     return max(max_degree(g) - 1, 0) * top, top
 
 

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
@@ -290,26 +291,67 @@ def test_violation_order_is_kind_then_index():
     )
 
 
-# -- the verdict cache --------------------------------------------------------------
+# -- the verdict, kept in the geometry record ----------------------------------------
 
 
-def test_beta_sweep_validates_the_geometry_once():
+def count_validations(monkeypatch) -> list:
+    calls = []
+    real = graph._validate_geometry
+
+    def counting(vertices, endpoints):
+        calls.append(len(endpoints))
+        return real(vertices, endpoints)
+
+    monkeypatch.setattr(graph, "_validate_geometry", counting)
+    return calls
+
+
+def test_beta_sweep_validates_the_geometry_once(monkeypatch):
     from kacward import gen_square, ising_partition_kw, uniform_ising
 
+    calls = count_validations(monkeypatch)
     g = gen_square(6, 4, 0.5)
-    _validate_geometry.cache_clear()
     for beta in np.linspace(0.1, 0.8, 8):
         ising_partition_kw(uniform_ising(g, float(beta)))
-    info = _validate_geometry.cache_info()
-    assert (info.misses, info.hits) == (1, 7)
+    assert calls == [g.num_edges]
 
 
 def test_verdict_cache_stays_small():
-    from kacward import gen_square
+    # No module-level cache holds a geometry: its record, verdict included,
+    # lives exactly as long as the graphs that share it.
+    import gc
+    import weakref
 
-    bound = _validate_geometry.cache_parameters()["maxsize"]
-    assert bound <= 8
-    _validate_geometry.cache_clear()
-    for width in range(1, bound + 5):
-        assert validate_embedding(gen_square(width, 1, 0.5)).ok
-    assert _validate_geometry.cache_info().currsize == bound
+    from kacward import gen_square, ising_partition_kw, uniform_ising
+
+    records = []
+    for width in range(1, 13):
+        g = gen_square(width, 1, 0.5)
+        assert validate_embedding(g).ok
+        ising_partition_kw(uniform_ising(g, 0.3))
+        records.append(weakref.ref(g._geometry))
+    h = g.with_weights([0.25] * g.num_edges)
+    del g
+    gc.collect()
+    assert [r() is None for r in records] == [True] * 11 + [False]
+    assert records[-1]() is h._geometry and h._geometry.violations == ()
+    del h
+    gc.collect()
+    assert records[-1]() is None
+
+
+def test_invalid_drawing_is_refused_on_every_beta(monkeypatch):
+    from kacward import InvalidEmbeddingError, ising_partition_kw, uniform_ising
+
+    calls = count_validations(monkeypatch)
+    # Edges 0 and 1 cross at (1, 1); edge 2 is a legal pendant.
+    g = EmbeddedGraph([(0, 0), (2, 2), (0, 2), (2, 0), (3, 0)], [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    messages = []
+    for beta in (0.1, 0.44, 1.0, 40.0):
+        with pytest.raises(InvalidEmbeddingError) as info:
+            ising_partition_kw(uniform_ising(g, beta))
+        messages.append(str(info.value))
+    assert messages == [
+        "invalid embedding: 1 violation(s), first: crossing on edges (0, 1)"
+    ] * 4
+    assert calls == [3]

@@ -69,6 +69,45 @@ def test_with_weights_checks_only_weights():
         g.with_weights([0.1, float("nan"), 0.3])
 
 
+@pytest.mark.parametrize("make", [make_triangle, make_bowtie, lambda: EmbeddedGraph([], [])])
+def test_with_weights_copy_has_the_fresh_graphs_value_semantics(make):
+    g = make()
+    ws = [(-1.0) ** k * (k + 1) / 8 for k in range(g.num_edges)]
+    if ws:
+        ws[-1] = 0.0
+    h = g.with_weights(ws)
+    fresh = EmbeddedGraph(
+        [(p.x, p.y) for p in g.vertices], [(e.u, e.v, w) for e, w in zip(g.edges, ws)]
+    )
+    assert h.edges == fresh.edges and all(type(e.weight) is float for e in h.edges)
+    assert h == fresh and hash(h) == hash(fresh)
+    assert h.weights() == fresh.weights() == tuple(ws)
+    for k in range(g.num_edges):
+        assert type(h.edge_weight(k)) is float and h.edge_weight(k) == fresh.edge_weight(k)
+    for d in range(g.num_directed):
+        assert type(h.directed_weight(d)) is float
+        assert h.directed_weight(d) == fresh.directed_weight(d)
+    assert dumps_graph(h) == dumps_graph(fresh)
+    assert loads_graph(dumps_graph(h)) == h
+    assert (h != g) == (ws != list(g.weights()))
+
+
+def test_with_weights_copies_its_input_and_keeps_error_messages():
+    g = make_bowtie()
+    ws = np.full(6, 0.25)
+    h = g.with_weights(ws)
+    ws[0] = 0.5
+    assert h.weights() == (0.25,) * 6
+    with pytest.raises(ValueError, match=r"^expected 6 weights, got 7$"):
+        g.with_weights([0.1] * 7)
+    with pytest.raises(ValueError, match=r"^edge 2 has non-finite weight inf$"):
+        g.with_weights([0.1, 0.2, math.inf, float("nan"), 0.3, 0.4])
+    with pytest.raises(ValueError, match=r"^edge 5 has non-finite weight -inf$"):
+        g.with_weights([0.1] * 5 + [-math.inf])
+    with pytest.raises(ValueError, match=r"^edge 0 has non-finite weight nan$"):
+        g.with_weights(np.array([np.nan] * 6))
+
+
 # -- directed edge conventions -------------------------------------------
 
 

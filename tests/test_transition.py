@@ -17,6 +17,7 @@ from kacward import (
     check_convergence_radius,
     gen_hex,
     gen_square,
+    ising_partition_kw,
     ising_to_even_weights,
     kac_ward_determinant,
     partition_function_kw,
@@ -25,6 +26,7 @@ from kacward import (
     turning_angle,
     uniform_ising,
 )
+from kacward.lattices import IsingInstance
 from kacward.transition import _parity, _sparse_slogdet
 from conftest import (
     disjoint_union,
@@ -33,6 +35,7 @@ from conftest import (
     make_single_edge,
     make_square_cycle,
     make_triangle,
+    make_wheel,
 )
 
 
@@ -309,6 +312,92 @@ def test_reality_and_nonnegativity_mixed_signs(corpus):
         scale = max(1.0, abs(r.det))
         assert abs(r.det.imag) <= 1e-10 * scale
         assert r.det.real >= -1e-10 * scale
+
+
+# -- reweighted copies share the drawing's layout ---------------------------------
+
+BETA_C = 0.5 * math.log(1.0 + math.sqrt(2.0))
+
+
+def fresh(g: EmbeddedGraph, weights) -> EmbeddedGraph:
+    """A graph built from scratch, sharing nothing with ``g``."""
+    return EmbeddedGraph(
+        [(p.x, p.y) for p in g.vertices],
+        [(e.u, e.v, w) for e, w in zip(g.edges, weights)],
+    )
+
+
+def coupling_sets(g: EmbeddedGraph):
+    """Uniform couplings, and mixed-sign ones with a zero."""
+    rng = np.random.default_rng(g.num_edges)
+    mixed = rng.uniform(-1.5, 1.5, size=g.num_edges)
+    mixed[g.num_edges // 2] = 0.0
+    return [[1.0] * g.num_edges, mixed.tolist()]
+
+
+@pytest.mark.parametrize(
+    "g", [gen_square(4, 3, 1.0), gen_hex(3, 2, 1.0), make_wheel(6)], ids=["square", "hex", "wheel"]
+)
+def test_reweighted_copies_are_bit_identical_to_fresh_graphs(g):
+    ising_partition_kw(uniform_ising(g, 0.3))  # fills g's geometry record
+    for couplings in coupling_sets(g):
+        for beta in (0.1, BETA_C, 1.0, 40.0):
+            inst = IsingInstance(g, beta, couplings)
+            conv = ising_to_even_weights(inst)
+            new = fresh(g, conv.graph.weights())
+            assert conv.graph._geometry is g._geometry
+            # repr, not ==: the linear Z reads nan where inf * 0 meets (mixed
+            # couplings at beta=40), and repr tells floats apart bit for bit.
+            want_z = ising_partition_kw(IsingInstance(new, beta, couplings))
+            assert repr(ising_partition_kw(inst)) == repr(want_z)
+            assert kac_ward_determinant(conv.graph) == kac_ward_determinant(new)
+            tm, want = build_transition_matrix(conv.graph), build_transition_matrix(new)
+            assert tm.size == want.size
+            assert np.array_equal(tm.rows, want.rows) and np.array_equal(tm.cols, want.cols)
+            assert np.array_equal(tm.values, want.values)
+
+
+def test_shared_layout_arrays_are_read_only():
+    g = gen_square(2, 2, 0.5)
+    tm = build_transition_matrix(g.with_weights([0.25] * g.num_edges))
+    assert tm.rows is build_transition_matrix(g).rows
+    with pytest.raises(ValueError, match="read-only"):
+        tm.rows[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        tm.cols[0] = 1
+
+
+def test_factored_matrix_is_scipys_coo_to_csc_conversion(monkeypatch, corpus):
+    # The stored CSC layout must reproduce what csc_array makes of the COO
+    # triplets of I - T, bit for bit, so that SuperLU sees the same input.
+    from kacward import transition
+
+    factored = []
+
+    def capture(a):
+        factored.append(a)
+        return _sparse_slogdet(a)
+
+    monkeypatch.setattr(transition, "_sparse_slogdet", capture)
+    rng = np.random.default_rng(17)
+    for g in corpus[:40] + [gen_square(5, 4, 0.3), gen_hex(2, 3, 0.3), make_wheel(6)]:
+        h = g.with_weights(rng.uniform(-1.0, 1.0, size=g.num_edges))
+        for x in (g, h):
+            kac_ward_determinant(x)
+            tm = build_transition_matrix(x)
+            diag = np.arange(tm.size)
+            want = csc_array(
+                (
+                    np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values)),
+                    (np.concatenate((diag, tm.rows)), np.concatenate((diag, tm.cols))),
+                ),
+                shape=(tm.size, tm.size),
+            )
+            a = factored.pop()
+            assert a.shape == want.shape
+            assert np.array_equal(a.indptr, want.indptr)
+            assert np.array_equal(a.indices, want.indices)
+            assert a.data.tobytes() == want.data.tobytes()
 
 
 # -- convergence radius --------------------------------------------------------
