@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import EmbeddedGraph
-from .transition import _LOG_OVERFLOW, _sqrt_det, kac_ward_determinant
+from .transition import _exp, _log_sqrt_det, kac_ward_determinant
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,9 @@ def ising_to_even_weights(inst: IsingInstance) -> HighTemperatureWeights:
     # log(cosh(y)) without overflow for large |y|, summed in coupling order.
     log_cosh = np.logaddexp(y, -y) - math.log(2.0)
     log_prefactor = g.num_vertices * math.log(2.0) + sum(log_cosh.tolist())
-    prefactor = math.exp(log_prefactor) if log_prefactor < _LOG_OVERFLOW else math.inf
     return HighTemperatureWeights(
         graph=g.with_weights(weights),
-        prefactor=prefactor,
+        prefactor=_exp(log_prefactor),
         log_prefactor=log_prefactor,
     )
 
@@ -137,9 +136,10 @@ def ising_partition_kw(inst: IsingInstance) -> tuple[float, float]:
     """(Z_ising, log Z_ising) via the determinant route.
 
     The log value is assembled entirely in log space and stays finite even
-    when the linear value overflows.
+    when the linear value overflows; the linear value is its ``exp``, or inf
+    past the last finite double.  A determinant that is not real and positive
+    raises NumericalError before either is returned.
     """
     conv = ising_to_even_weights(inst)
-    det = kac_ward_determinant(conv.graph)
-    log_z = conv.log_prefactor + 0.5 * det.log_abs_det
-    return conv.prefactor * _sqrt_det(det), log_z
+    log_z = conv.log_prefactor + _log_sqrt_det(kac_ward_determinant(conv.graph))
+    return _exp(log_z), log_z

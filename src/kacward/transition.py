@@ -30,6 +30,11 @@ from .graph import EmbeddedGraph, max_degree, require_valid_embedding
 _LOG_OVERFLOW = 709.0
 
 
+def _exp(log_value: float) -> float:
+    """``exp(log_value)``, or inf past ``_LOG_OVERFLOW``."""
+    return math.exp(log_value) if log_value < _LOG_OVERFLOW else math.inf
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Complex transition matrix on the 2|E| directed edges, as COO triplets.
@@ -181,42 +186,41 @@ def kac_ward_determinant(g: EmbeddedGraph) -> DetResult:
     data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))[layout.order]
     a = csc_array((data, layout.indices, layout.indptr), shape=(tm.size, tm.size))
     log_abs, phase = _sparse_slogdet(a)
-    mag = math.exp(log_abs) if log_abs < _LOG_OVERFLOW else math.inf
+    mag = _exp(log_abs)
     det = complex(mag * math.cos(phase), mag * math.sin(phase))
     return DetResult(det=det, log_abs_det=log_abs, phase=phase)
 
 
-def _sqrt_det(r: DetResult) -> float:
-    """Nonnegative square root of a determinant that must be real and nonnegative."""
-    if not math.isfinite(abs(r.det)):
-        # Linear value overflowed: fall back to a phase test.
-        if abs(math.sin(r.phase)) > 1e-9 or math.cos(r.phase) <= 0:
-            raise NumericalError(
-                f"determinant not real-nonnegative (phase {r.phase:.3e})"
-            )
-        half = 0.5 * r.log_abs_det
-        return math.exp(half) if half < _LOG_OVERFLOW else math.inf
-    tol = 1e-9 * max(1.0, abs(r.det))
-    if abs(r.det.imag) > tol or r.det.real < -tol:
+def _log_sqrt_det(r: DetResult) -> float:
+    """log sqrt(det) of a determinant that must be real and positive.
+
+    One test for every determinant, finite or overflowed: its phase is within
+    1e-9 of 0.  A sum of even-subgraph weights of both signs that cancels
+    below double precision leaves a phase far above that, and a log value
+    that would be wrong; it is refused, not returned.
+    """
+    if not abs(r.phase) <= 1e-9:  # written so that a nan phase is refused too
         raise NumericalError(
-            f"determinant not real-nonnegative (det = {r.det!r}); "
-            "invalid embedding or numerical failure"
+            f"determinant not real-positive (phase {r.phase:.3e}); invalid "
+            "embedding, or weights of both signs that cancel below double precision"
         )
-    return math.sqrt(max(r.det.real, 0.0))
+    return 0.5 * r.log_abs_det
 
 
 def partition_function_kw(source: EmbeddedGraph | DetResult) -> float:
     """Even-subgraph generating function, as the square root of the determinant.
 
     ``source`` is a graph, or the ``DetResult`` of one when the caller has
-    already factored it.  Returns the nonnegative root.  For nonnegative
-    weights this is the generating function itself (every monomial is
-    nonnegative and the empty subgraph contributes 1); for mixed-sign
-    weights it is its absolute value.
+    already factored it.  Returns the positive root, as ``exp`` of half the
+    log determinant (inf past the last finite double); a determinant that is
+    not real and positive raises NumericalError.  For nonnegative weights
+    this is the generating function itself (every monomial is nonnegative
+    and the empty subgraph contributes 1); for mixed-sign weights it is its
+    absolute value.
     """
     if not isinstance(source, DetResult):
         source = kac_ward_determinant(source)
-    return _sqrt_det(source)
+    return _exp(_log_sqrt_det(source))
 
 
 def _contraction(g: EmbeddedGraph) -> tuple[float, float]:

@@ -24,16 +24,12 @@ from .loops import (
     _entries,
     _generic_scan,
     _groups,
-    _levels,
     _loops_up_to,
     _pick,
-    _reverse_steps,
-    _self_avoiding,
     _step_table,
     _StepTable,
     _steps,
     _traces,
-    _value,
     _weigh_steps,
 )
 from .oracle import partition_function_oracle
@@ -71,192 +67,109 @@ def _check_kw_vs_oracle(tm: np.ndarray, z: float, corrupt: bool) -> CheckResult:
     )
 
 
-# The vectorised checks flag a walk at half the tolerance; a flagged walk is
-# checked again with the scalar formulas below, which decide.  numpy's complex
-# products and moduli may differ from Python's in the last bits, never by half.
-_SCREEN = 0.5e-12
+def _carry(
+    expect: np.ndarray, rows: np.ndarray, n: int, half: int, step: np.ndarray, lam
+) -> np.ndarray:
+    """``expect`` of walks of length n from their parents' (``rows`` of
+    ``expect``), the step weights of their last steps and, for n <= half,
+    their own weights."""
+    carried = expect[rows, int(n > half) :]
+    carried *= step[:, None]
+    return np.column_stack((carried, lam)) if n <= half else carried
 
 
-class _HalfTable:
-    """The walks of length 0..half from every edge: ``levels[m]`` from the
-    enumerator, so a walk is a row of its length and row r of length 0 is the
-    walk (r,).  ``lam[m]`` holds the weights (for screening), ``heads[m][r, k]``
-    the row of the length-k prefix of walk r, and ``first_child[m][r]`` the
-    row of its first extension; the extension along entry e is ``rank[e]``
-    rows after it."""
-
-    def __init__(self, csr: _Csr, half: int):
-        self.half = half
-        self.csr = csr
-        self.levels = _levels(csr, np.arange(len(csr.x)).reshape(-1, 1), half)
-        self.lam = [np.exp(0.5j * level.t) * level.p for level in self.levels]
-        self.rank = np.arange(len(csr.succ)) - csr.start[csr.src]
-        self.first_child = []
-        for level in self.levels:
-            degree = csr.start[level.last + 1] - csr.start[level.last]
-            self.first_child.append(np.cumsum(degree) - degree)
-        self.heads = [np.arange(len(csr.x)).reshape(-1, 1)]
-        for level in self.levels[1:]:
-            self.heads.append(
-                np.column_stack((self.heads[-1][level.parent], np.arange(len(level.last))))
-            )
-
-    def weight(self, m: int, row: int) -> complex:
-        return _value(float(self.levels[m].t[row]), float(self.levels[m].p[row]))
-
-    def tails(self, up: dict, n: int, last, entry, parent=None) -> dict[int, np.ndarray]:
-        """``tails[m]``: the rows of the last m steps of walks of length n, for
-        the m that a split of them or of their extensions takes, from their
-        parents' ``up`` (rows ``parent``, else the same rows), last steps and
-        last entries."""
-        rank = self.rank[entry]
-        tails = {}
-        for m in range(max(0, n - self.half), min(n, self.half) + 1):
-            if m == 0:
-                tails[m] = last
-            else:
-                rows = up[m - 1] if parent is None else up[m - 1][parent]
-                tails[m] = self.first_child[m - 1][rows] + rank
-        return tails
-
-
-def _reversal_weight(csr: _Csr, steps: tuple[int, ...]) -> complex:
-    """The weight of the reversal of ``steps``, from the step table in its own
-    walk order."""
-    t, p = _weigh_steps(csr, np.array([_reverse_steps(steps)]))
-    return _value(float(t[0]), float(p[0]))
-
-
-def _walk_failure(
-    half: _HalfTable, steps: tuple[int, ...], lam: complex, splits, pair: bool
+def _first_walk_failure(
+    csr: _Csr, step: np.ndarray, half: int, group: Group, max_len: int
 ) -> str | None:
-    """The multiplicativity check at ``splits`` [(k, head row, tail row)] and,
-    for a ``pair``, the reversal-pair check of one walk, in scalar arithmetic."""
-    n = len(steps) - 1
-    for k, head_row, tail_row in splits:
-        head, tail = steps[: k + 1], steps[k:]
-        expect = half.weight(k, head_row) * half.weight(n - k, tail_row)
-        if abs(lam - expect) > 1e-12 * max(1.0, abs(expect)):
-            return (
-                f"multiplicativity fails for {head}+{tail}: "
-                f"|diff| = {_fmt(abs(lam - expect))}"
-            )
-    if pair:
-        lam_rev = _reversal_weight(half.csr, steps)
-        tol = 1e-12 * max(1.0, abs(lam))
-        if abs(lam.real) > tol or abs(lam + lam_rev) > tol:
-            return (
-                f"reversal-pair walk {steps}: re = {_fmt(abs(lam.real))}, "
-                f"|lam + lam_rev| = {_fmt(abs(lam + lam_rev))}"
-            )
-    return None
-
-
-def _loop_failure(
-    g: EmbeddedGraph, csr: _Csr, steps: tuple[int, ...], lam: complex, x: float
-) -> str | None:
-    """The loop checks of one loop, in scalar arithmetic."""
-    lam_rev = _reversal_weight(csr, steps)
-    tol = 1e-12 * max(1.0, abs(lam))
-    if abs(lam.imag) > tol or abs(lam - lam_rev) > tol:
-        return (
-            f"loop {steps}: im = {_fmt(abs(lam.imag))}, "
-            f"|lam - lam_rev| = {_fmt(abs(lam - lam_rev))}"
-        )
-    if _self_avoiding(g, steps) and abs(lam + x) > tol:
-        return f"self-avoiding loop {steps}: |lam + x| = {_fmt(abs(lam + x))}"
-    return None
-
-
-def _first_walk_failure(half: _HalfTable, group: Group, max_len: int) -> str | None:
     """The first failure of multiplicativity or of a reversal pair among the
-    walks of ``group``, in lexicographic order.
+    walks of ``group``, in lexicographic order: the walk, then the split k
+    ascending, then the reversal pair.
 
     Each walk of length n <= 2 * half is compared, at every split into a head
-    of length k and a tail of length n - k, both <= half, against the product
-    of the parts' weights from the half table (tolerance relative with floor
-    1, so heavy weights do not trip rounding).  A head is the walk's own
-    prefix; a tail row is its parent's tail row extended by the walk's last
-    step.  Walks from an edge to its reversal up to ``max_len`` are purely
-    imaginary and reversal-antisymmetric; the reversal is weighed from the
-    step table in its own walk order."""
+    of length k and a tail of length n - k, both <= half, against the head's
+    weight times the tail's (tolerance relative with floor 1, so heavy
+    weights do not trip rounding).  The head of length 0 weighs 1; a longer
+    head is the walk's ancestor in the group, or for one shorter than the
+    group's prefix, that prefix weighed by ``_weigh_steps``.  The tail is the
+    product of the ``step`` weights exp(i * angle / 2) * x of its steps.
+    ``expect[:, c]`` holds split k = max(0, n - half) + c: the head's weight
+    times the steps after it, each walk's the parent's times its last step.
+    Walks from an edge to its reversal up to ``max_len`` are purely imaginary
+    and reversal-antisymmetric; the reversal is weighed from the step table
+    in its own walk order."""
     prefix, levels = group
     j = prefix.shape[1] - 1
-    h = half.half
-    # The first level's tail rows, and the rows of their prefixes of length
-    # min(j, h) (``anc``), from which every head is read.
-    tails = {0: prefix[:, 0]}
-    anc = prefix[:, 0]
-    for c in range(1, j + 1):
-        entry = _entries(half.csr, prefix[:, c - 1], prefix[:, c])
-        tails = half.tails(tails, c, prefix[:, c], entry)
-        if c <= h:
-            anc = tails[c]
-    flagged = []
+    failures = []  # (walk, 0 for a split or 1 for its reversal pair, message)
+    expect = np.ones((len(prefix), 1), dtype=complex)
+    for c in range(1, min(j, 2 * half + 1)):
+        head = None
+        if c <= half:
+            t, p = _weigh_steps(csr, prefix[:, : c + 1])
+            head = np.exp(0.5j * t) * p
+        entry = _entries(csr, prefix[:, c - 1], prefix[:, c])
+        expect = _carry(expect, np.arange(len(prefix)), c, half, step[entry], head)
     for i, level in enumerate(levels):
         n = j + i
-        splits = range(max(0, n - h), min(n, h) + 1) if n <= 2 * h else range(0)
-        if i and splits:
-            tails = half.tails(tails, n, level.last, level.entry, level.parent)
-            anc = tails[n] if n <= h else anc[level.parent]
-        heads = half.heads[min(n, h)]
-        bad = np.zeros(len(level.last), dtype=bool)
-        if splits:
+        if n <= 2 * half:
             lam = np.exp(0.5j * level.t) * level.p
-        for k in splits:
-            expect = half.lam[k][heads[anc, k]] * half.lam[n - k][tails[n - k]]
-            bad |= np.abs(lam - expect) > _SCREEN * np.maximum(1.0, np.abs(expect))
+            if i or j:
+                entry = level.entry if i else _entries(csr, prefix[:, j - 1], prefix[:, j])
+                expect = _carry(expect, level.parent, n, half, step[entry], lam)
+            bad = np.abs(lam[:, None] - expect) > 1e-12 * np.maximum(1.0, np.abs(expect))
+            rows = np.flatnonzero(bad.any(axis=1))
+            if len(rows):
+                r, c = rows[0], int(np.argmax(bad[rows[0]]))
+                steps = tuple(_steps(prefix, levels, i, rows[:1])[0].tolist())
+                k = max(0, n - half) + c
+                failures.append((steps, 0, (
+                    f"multiplicativity fails for {steps[: k + 1]}+{steps[k:]}: "
+                    f"|diff| = {_fmt(abs(lam[r] - expect[r, c]))}"
+                )))
         pairs = np.flatnonzero(level.last == (level.root ^ 1)) if n <= max_len else []
         if len(pairs):
-            t_rev, p_rev = _weigh_steps(half.csr, _steps(prefix, levels, i, pairs)[:, ::-1] ^ 1)
-            lam_pair = np.exp(0.5j * level.t[pairs]) * level.p[pairs]
-            tol = _SCREEN * np.maximum(1.0, np.abs(lam_pair))
-            off = np.abs(lam_pair.real) > tol
-            off |= np.abs(lam_pair + np.exp(0.5j * t_rev) * p_rev) > tol
-            bad[pairs[off]] = True
-        rows = np.flatnonzero(bad)
-        if not len(rows):
-            continue
-        for r, steps in zip(rows.tolist(), _steps(prefix, levels, i, rows).tolist()):
-            flagged.append((
-                tuple(steps),
-                _value(float(level.t[r]), float(level.p[r])),
-                [(k, int(heads[anc[r], k]), int(tails[n - k][r])) for k in splits],
-                n <= max_len and steps[-1] == steps[0] ^ 1,
-            ))
-    for steps, lam, splits, pair in sorted(flagged):
-        failure = _walk_failure(half, steps, lam, splits, pair)
-        if failure is not None:
-            return failure
-    return None
+            steps = _steps(prefix, levels, i, pairs)
+            t_rev, p_rev = _weigh_steps(csr, steps[:, ::-1] ^ 1)
+            lam = np.exp(0.5j * level.t[pairs]) * level.p[pairs]
+            tol = 1e-12 * np.maximum(1.0, np.abs(lam))
+            re, gap = np.abs(lam.real), np.abs(lam + np.exp(0.5j * t_rev) * p_rev)
+            rows = np.flatnonzero((re > tol) | (gap > tol))
+            if len(rows):
+                r = rows[0]
+                walk = tuple(steps[r].tolist())
+                failures.append((walk, 1, (
+                    f"reversal-pair walk {walk}: re = {_fmt(re[r])}, "
+                    f"|lam + lam_rev| = {_fmt(gap[r])}"
+                )))
+    return min(failures)[2] if failures else None
 
 
-def _first_loop_failure(
-    g: EmbeddedGraph, csr: _Csr, ends_of: np.ndarray, loops: Picked
-) -> str | None:
+def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | None:
     """The first failure of the loop checks among ``loops``, in lexicographic
     order: loops are real and reversal-symmetric, the reversal weighed from
     the step table; self-avoiding loops weigh minus their edge product.
     ``ends_of[d]`` is (tail, head) of directed edge d."""
-    flagged = []
+    failures = []
     for steps, t, p in loops:
         lam = np.exp(0.5j * t) * p
         t_rev, p_rev = _weigh_steps(csr, steps[:, ::-1] ^ 1)
-        tol = _SCREEN * np.maximum(1.0, np.abs(lam))
-        bad = np.abs(lam.imag) > tol
-        bad |= np.abs(lam - np.exp(0.5j * t_rev) * p_rev) > tol
+        tol = 1e-12 * np.maximum(1.0, np.abs(lam))
+        im, gap = np.abs(lam.imag), np.abs(lam - np.exp(0.5j * t_rev) * p_rev)
+        asymmetric = (im > tol) | (gap > tol)
         # Self-avoiding: each vertex is an end of exactly two traversed edges.
         ends = np.sort(ends_of[steps[:, :-1]].reshape(len(steps), -1), axis=1)
         avoiding = (ends[:, ::2] == ends[:, 1::2]).all(axis=1)
         avoiding &= (ends[:, 1:-1:2] != ends[:, 2::2]).all(axis=1)
-        bad |= avoiding & (np.abs(lam + p) > tol)
-        for r in np.flatnonzero(bad).tolist():
-            flagged.append((tuple(steps[r].tolist()), float(t[r]), float(p[r])))
-    for steps, t, p in sorted(flagged):
-        failure = _loop_failure(g, csr, steps, _value(t, p), p)
-        if failure is not None:
-            return failure
-    return None
+        miss = np.abs(lam + p)
+        rows = np.flatnonzero(asymmetric | (avoiding & (miss > tol)))
+        if len(rows):
+            r = rows[0]
+            loop = tuple(steps[r].tolist())
+            if asymmetric[r]:
+                message = f"loop {loop}: im = {_fmt(im[r])}, |lam - lam_rev| = {_fmt(gap[r])}"
+            else:
+                message = f"self-avoiding loop {loop}: |lam + x| = {_fmt(miss[r])}"
+            failures.append((loop, message))
+    return min(failures)[1] if failures else None
 
 
 def _check_weight_properties(
@@ -265,23 +178,24 @@ def _check_weight_properties(
     """The check, and the rooted loops up to ``max_len`` that its walk pass
     weighs, in lexicographic order.
 
-    The pass enumerates the walks up to max(max_len, 2 * half) in groups of
-    consecutive subtrees and checks each level of a group at once; the
-    first failure in lexicographic order is reported (the walk checks before
-    the loop checks), and its message comes from the scalar formulas.  After
-    a failure the pass stops checking and keeps collecting, so the other loop
-    checks see every loop."""
+    The pass enumerates the walks up to max(max_len, 2 * half) once, in
+    groups of consecutive subtrees, and decides each comparison once, a level
+    of a group at a time; the first failure in lexicographic order is
+    reported (the walk checks before the loop checks).  After a failure the
+    pass stops checking and keeps collecting, so the other loop checks see
+    every loop."""
     csr = _csr(table)
-    half = _HalfTable(csr, max(max_len // 2, 1))
+    half = max(max_len // 2, 1)
+    step = np.exp(0.5j * csr.angle) * csr.x[csr.src]
     ends_of = np.array([(g.tail(d), g.head(d)) for d in range(g.num_directed)], dtype=np.intp)
     loops: Weighed = {}
     walk_failure = loop_failure = None
-    for group in _groups(csr, range(g.num_directed), max(max_len, 2 * half.half)):
+    for group in _groups(csr, range(g.num_directed), max(max_len, 2 * half)):
         picked = _pick(group, _loops_up_to(max_len))
         if walk_failure is None:
-            walk_failure = _first_walk_failure(half, group, max_len)
+            walk_failure = _first_walk_failure(csr, step, half, group, max_len)
         if walk_failure is None and loop_failure is None:
-            loop_failure = _first_loop_failure(g, csr, ends_of, picked)
+            loop_failure = _first_loop_failure(csr, ends_of, picked)
         _add_loops(loops, picked)
     failure = walk_failure or loop_failure
     detail = failure or f"walk/loop lengths up to {max_len}"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kacward
@@ -202,6 +203,20 @@ def test_ising_large_lattice_log_finite(capsys, tmp_path):
     log_line = out.splitlines()[1]
     value = float(log_line.split(" = ")[1])
     assert math.isfinite(value)
+
+
+def test_ising_refuses_a_cancelled_determinant(capsys, tmp_path):
+    # Mixed-sign couplings at beta 25: the high-temperature sum cancels below
+    # double precision, so no Z or log Z is printed.
+    g = gen_square(4, 3, 0.0)
+    weights = np.random.default_rng(0).uniform(-1, 1.5, g.num_edges)
+    path = tmp_path / "mixed.json"
+    dump_graph(g.with_weights(weights), path)
+    code, out, err = run(capsys, "ising", str(path), "--beta", "25")
+    assert (code, out) == (4, "")
+    assert err.startswith("kacward: error[numeric]: determinant not real-positive (phase ")
+    code, out, _ = run(capsys, "ising", str(path), "--beta", "1")
+    assert code == 0 and out.startswith("Z_ising = ")
 
 
 # -- gen --------------------------------------------------------------------------

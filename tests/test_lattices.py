@@ -7,6 +7,7 @@ import pytest
 
 from kacward import (
     IsingInstance,
+    NumericalError,
     check_convergence_radius,
     connected_components,
     cycle_space_basis,
@@ -184,6 +185,40 @@ def test_mixed_couplings_match_spin_sum():
     z_kw, _ = ising_partition_kw(inst)
     z_spin = ising_partition_spin_sum(g, 0.7, couplings)
     assert z_kw == pytest.approx(z_spin, rel=1e-9)
+
+
+def test_frustrated_low_temperature_log_z_is_right_or_refused(monkeypatch):
+    # Mixed-sign couplings on the 4x3 square: at low temperature the
+    # high-temperature sum cancels below double precision, and the
+    # determinant's phase shows it.  Every log Z returned matches the spin
+    # sum; the others raise.  Each seed's spin energies are computed once.
+    from kacward import oracle
+
+    real, energies = oracle._spin_energies, {}
+
+    def once(g, couplings):
+        key = tuple(couplings)
+        if key not in energies:
+            energies[key] = real(g, couplings)
+        return energies[key]
+
+    monkeypatch.setattr(oracle, "_spin_energies", once)
+    g = gen_square(4, 3, 0.0)
+    outcomes = {}
+    for seed in range(5):
+        couplings = np.random.default_rng(seed).uniform(-1, 1.5, g.num_edges)
+        for beta in (1.0, 5.0, 10.0, 25.0, 40.0):
+            try:
+                z, log_z = ising_partition_kw(IsingInstance(g, beta, couplings))
+            except NumericalError:
+                outcomes[seed, beta] = "refused"
+                continue
+            want = oracle.ising_log_partition_spin_sum(g, beta, couplings)
+            assert log_z == pytest.approx(want, rel=2e-11, abs=0.0)
+            assert z == math.exp(log_z)
+            outcomes[seed, beta] = "returned"
+    assert all(outcomes[seed, beta] == "returned" for seed in range(5) for beta in (1.0, 5.0))
+    assert outcomes[0, 25.0] == "refused"
 
 
 def test_instance_validates_inputs():

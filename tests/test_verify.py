@@ -54,7 +54,6 @@ def perturb_loop_weight(monkeypatch, *targets, factor=1.01):
         return levels
 
     monkeypatch.setattr(loops, "_levels", skewed)
-    monkeypatch.setattr(verify, "_levels", skewed)
 
 
 def skewed_walk_weight(steps):
@@ -127,6 +126,8 @@ def test_loops_are_enumerated_once_per_suite(monkeypatch):
 def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch):
     # A skewed walk of length 2 fails multiplicativity near the start of the
     # pass, before any loop; the pass still collects every loop after it.
+    # Its first split is the empty head and the whole walk as the tail, whose
+    # weight is the product of the step weights, which the skew leaves alone.
     g = make_triangle(0.25)
     target = next(w for w in enumerate_walks(g, 9) if w.length == 2)
     perturb_loop_weight(monkeypatch, target.steps)
@@ -134,7 +135,9 @@ def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch)
     seen = [count_calls(monkeypatch, verify, name) for name in names]
     results = run_suite(g, 9)
     assert [r.status for r in results] == ["pass", "FAIL", "pass", "pass", "pass", "skip"]
-    assert results[1].detail.startswith(f"multiplicativity fails for {target.steps[:2]}+")
+    assert results[1].detail.startswith(
+        f"multiplicativity fails for {target.steps[:1]}+{target.steps}:"
+    )
     expected = [
         (l.steps, (walk_weight(g, l).value, walk_weight(g, l).edge_product))
         for l in enumerate_rooted_loops(g, 9)
@@ -209,14 +212,10 @@ def count_calls(monkeypatch, module, name):
 def test_suite_weighs_each_walk_once(monkeypatch):
     # Weights come from the walk enumerator as it reaches each walk, and the
     # reversals of the reversal-pair walks and of the loops from the step
-    # table; no walk is weighed by ``walk_weight``.  The pass that compares
-    # the walks also collects the loops.
+    # table; no walk is weighed by ``walk_weight``.  The one pass that
+    # compares the walks also collects the loops.
     g = make_bowtie(0.25)
     walks = enumerate_walks(g, 10)
-    expected = (
-        len(enumerate_walks(g, 5))  # the half-walk table
-        + len(walks)  # the pass over walks up to 2 * 5
-    )
     real = loops._levels
     drawn = []
 
@@ -226,15 +225,13 @@ def test_suite_weighs_each_walk_once(monkeypatch):
         return levels
 
     monkeypatch.setattr(loops, "_levels", counting)
-    monkeypatch.setattr(verify, "_levels", counting)
     weighs = count_calls(monkeypatch, loops, "walk_weight")
     # walk_weight validates every walk it weighs, however it is reached.
     validations = count_calls(monkeypatch, loops, "_check_in_graph")
     reversals = count_calls(monkeypatch, verify, "_weigh_steps")
-    scalar = count_calls(monkeypatch, verify, "_reversal_weight")
     run_suite(g, 10)
-    assert (len(weighs), len(validations), len(scalar)) == (0, 0, 0)
-    assert sum(drawn) == expected == 1884
+    assert (len(weighs), len(validations)) == (0, 0)
+    assert sum(drawn) == len(walks) == 1644
     pairs = sum(w.last == w.first ^ 1 for w in walks)
     reversed_walks = sum(len(args[1]) for args in reversals)
     assert reversed_walks == pairs + len(enumerate_rooted_loops(g, 10))
@@ -242,18 +239,19 @@ def test_suite_weighs_each_walk_once(monkeypatch):
 
 
 def test_one_walk_pass_and_one_generic_scan_per_suite(monkeypatch):
-    # Two weighed passes share one step table: the half-walk table up to 4,
-    # and the walk pass up to 9 from every edge, which also collects the loops.
-    halves = count_calls(monkeypatch, verify, "_levels")
+    # One weighed pass, the walks up to 9 from every edge, enumerates every
+    # walk that the checks read; it also collects the loops.
+    assert not hasattr(verify, "_levels")
+    levels = count_calls(monkeypatch, loops, "_levels")
     passes = count_calls(monkeypatch, verify, "_groups")
     tables = count_calls(monkeypatch, verify, "_step_table")
     scans = count_calls(monkeypatch, verify, "_generic_scan")
     results = run_suite(make_bowtie(0.25), 9)
     assert [r.status for r in results] == ["pass"] * 6
-    assert [args[2] for args in halves] == [4]
     assert [(list(args[1]), args[2]) for args in passes] == [(list(range(12)), 9)]
+    assert [(args[1].tolist(), args[2]) for args in levels] == [([[d] for d in range(12)], 9)]
+    assert levels[0][0] is passes[0][0]
     assert (len(tables), len(scans)) == (1, 1)
-    assert halves[0][0] is passes[0][0]
 
 
 # Reference checks: the former weight-properties (every composable pair of
@@ -597,22 +595,48 @@ def test_the_lexicographically_first_of_two_failures_is_reported(
     assert (where[first] == where[last]) == (cap is None)
 
 
+def test_a_longer_walk_that_sorts_first_is_reported_first(monkeypatch):
+    # The pass checks a group one length at a time, but reports the
+    # lexicographically first failing walk, here the longer of two.
+    g = make_bowtie(0.25)
+    walks = enumerate_walks(g, 3)
+
+    def lengths(d, n):
+        return [w.steps for w in walks if w.first == d and w.length == n]
+
+    # From an edge into the centre, the first walk of length 3 sorts before
+    # the last of length 2.
+    d = next(d for d in range(g.num_directed) if min(lengths(d, 3)) < max(lengths(d, 2)))
+    long, short = min(lengths(d, 3)), max(lengths(d, 2))
+    perturb_loop_weight(monkeypatch, short, long)
+    result = verify._check_weight_properties(g, 6, step_table(g))[0]
+    assert result.detail.startswith(f"multiplicativity fails for {long[:1]}+{long}:")
+
+
+SKEWED_CHECKS = [
+    (make_triangle, lambda w: w.length == 4, "multiplicativity fails for"),
+    (make_bowtie, lambda w: w.length == 9 and w.last == w.first ^ 1, "reversal-pair walk"),
+    (make_triangle, lambda w: w.length == 9 and w.last == w.first, "loop"),
+]
+SKEWED_IDS = ["multiplicativity", "reversal-pair", "loop"]
+
+
 @pytest.mark.parametrize(
-    "make, predicate, message",
-    [
-        (make_triangle, lambda w: w.length == 4, "multiplicativity fails for"),
-        (make_bowtie, lambda w: w.length == 9 and w.last == w.first ^ 1, "reversal-pair walk"),
-        (make_triangle, lambda w: w.length == 9 and w.last == w.first, "loop"),
-    ],
-    ids=["multiplicativity", "reversal-pair", "loop"],
+    "make, predicate, message, skew",
+    [case + (1.5e-12,) for case in SKEWED_CHECKS] + [case + (0.5e-12,) for case in SKEWED_CHECKS],
+    ids=SKEWED_IDS + [f"{name}-within" for name in SKEWED_IDS],
 )
-def test_a_skew_just_past_the_tolerance_fails(monkeypatch, make, predicate, message):
+def test_a_skew_just_past_the_tolerance_fails(monkeypatch, make, predicate, message, skew):
     # Weight 2 makes the weights exceed 1, so the tolerance is relative; a
-    # skew of 1.5e-12 is 1.5 tolerances, and the vectorised screen must flag it
-    # for the scalar check to see.
+    # skew of 1.5e-12 is 1.5 tolerances and fails, one of 0.5e-12 is half a
+    # tolerance and passes.  Each comparison is decided once, at the
+    # tolerance itself.
     g = make(2.0)
     target = next(w for w in enumerate_walks(g, 9) if predicate(w))
-    perturb_loop_weight(monkeypatch, target.steps, factor=1.0 + 1.5e-12)
+    perturb_loop_weight(monkeypatch, target.steps, factor=1.0 + skew)
     result = verify._check_weight_properties(g, 9, step_table(g))[0]
-    assert result.status == "FAIL"
-    assert result.detail.startswith(message)
+    if skew > 1e-12:
+        assert result.status == "FAIL"
+        assert result.detail.startswith(message)
+    else:
+        assert result.status == "pass", result.detail
