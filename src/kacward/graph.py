@@ -48,20 +48,64 @@ def directed_pair(k: int) -> tuple[int, int]:
 
 
 class _Geometry:
-    """What a drawing determines, whatever its weights; filled on first use.
+    """What a drawing determines, whatever its weights.
 
     One record per constructed graph, shared by reference with every
     ``with_weights`` copy, and freed with the last graph that holds it.
-    ``violations`` is the validation verdict; ``layout`` belongs to
-    :mod:`kacward.transition` (step pattern, half-angle phases and the sparse
-    layout of ``I - T``).
+    ``xy`` is the read-only ``(|V|, 2)`` float array of coordinates and
+    ``ends`` the read-only ``(|E|, 2)`` integer array of endpoints, so
+    directed id ``d`` runs from ``ends.flat[d]`` to ``ends.flat[d ^ 1]``;
+    ``out_ptr``/``out_ids`` list the directed ids leaving each vertex in
+    ascending order (CSR).  The tuples behind the scalar accessors
+    (``points``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
+    first read.  ``violations`` is the validation verdict; ``layout`` belongs
+    to :mod:`kacward.transition` (step pattern, half-angle phases and the
+    sparse layout of ``I - T``); both are filled on first use.
     """
 
-    __slots__ = ("violations", "layout", "__weakref__")
+    __slots__ = (
+        "xy",
+        "ends",
+        "out_ptr",
+        "out_ids",
+        "points",
+        "tails",
+        "heads",
+        "out",
+        "degrees",
+        "violations",
+        "layout",
+        "__weakref__",
+    )
 
-    def __init__(self):
+    def __init__(self, xy: np.ndarray, ends: np.ndarray):
+        self.xy = _frozen(xy)
+        self.ends = _frozen(np.ascontiguousarray(ends))
+        tails = self.ends.reshape(-1)
+        self.out_ids = _frozen(np.argsort(tails, kind="stable"))
+        out_ptr = np.zeros(len(xy) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tails, minlength=len(xy)), out=out_ptr[1:])
+        self.out_ptr = _frozen(out_ptr)
         self.violations = None
         self.layout = None
+
+    def __getattr__(self, name):
+        # Reached only for a scalar view that has not been built yet.
+        if name == "points":
+            value = tuple(Point(x, y) for x, y in self.xy.tolist())
+        elif name == "tails":
+            value = tuple(self.ends.reshape(-1).tolist())
+        elif name == "heads":
+            value = tuple(self.ends[:, ::-1].reshape(-1).tolist())
+        elif name == "out":
+            ids, ptr = self.out_ids.tolist(), self.out_ptr.tolist()
+            value = tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+        elif name == "degrees":
+            value = tuple(np.diff(self.out_ptr).tolist())
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
 
 class EmbeddedGraph:
@@ -73,68 +117,20 @@ class EmbeddedGraph:
     :func:`validate_embedding`, not rejected here, so that diagnostics can
     list all of them.
 
-    The weights are a read-only float array beside the topology; ``edges``
-    is built from them on first read.
+    The drawing is held as arrays in a geometry record (coordinates,
+    endpoints and the out-edge CSR) that ``with_weights`` copies share; the
+    weights are a read-only float array beside it.  ``vertices``, ``edges``
+    and the tuples behind ``tail``, ``head``, ``out_edges`` and ``degrees``
+    are built on first read, so constructing a graph makes no ``Point`` or
+    ``Edge``.
     """
 
-    __slots__ = (
-        "_vertices",
-        "_out",
-        "_degrees",
-        "_tails",
-        "_heads",
-        "_geometry",
-        "_weights",
-        "_edges",
-    )
+    __slots__ = ("_geometry", "_weights", "_edges")
 
     def __init__(self, vertices: Iterable, edges: Iterable):
-        vs = []
-        for i, p in enumerate(vertices):
-            if isinstance(p, Point):
-                x, y = p.x, p.y
-            else:
-                x, y = p
-            x, y = float(x), float(y)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"vertex {i} has non-finite coordinates ({x}, {y})")
-            vs.append(Point(x, y))
-
-        out: list[list[int]] = [[] for _ in vs]
-        tails = []
-        heads = []
-        weights = []
-        seen: set[tuple[int, int]] = set()
-        for k, e in enumerate(edges):
-            if isinstance(e, Edge):
-                u, v, w = e.u, e.v, e.weight
-            else:
-                u, v, w = e
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < len(vs) and 0 <= v < len(vs)):
-                raise ValueError(f"edge {k} references vertex out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"edge {k} is a self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"edge {k} duplicates undirected edge {key}")
-            seen.add(key)
-            if not math.isfinite(w):
-                raise ValueError(f"edge {k} has non-finite weight {w}")
-            out[u].append(2 * k)
-            out[v].append(2 * k + 1)
-            tails.extend((u, v))
-            heads.extend((v, u))
-            weights.append(w)
-
-        object.__setattr__(self, "_vertices", tuple(vs))
-        object.__setattr__(self, "_out", tuple(tuple(o) for o in out))
-        object.__setattr__(self, "_degrees", tuple(len(o) for o in out))
-        object.__setattr__(self, "_tails", tuple(tails))
-        object.__setattr__(self, "_heads", tuple(heads))
-        object.__setattr__(self, "_geometry", _Geometry())
-        object.__setattr__(self, "_weights", _frozen(np.array(weights, dtype=np.float64)))
-        object.__setattr__(self, "_edges", None)
+        xy = _coordinates(vertices)
+        ends, weights = _edge_arrays(edges, len(xy))
+        _fill(self, _Geometry(xy, ends), weights)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -143,18 +139,18 @@ class EmbeddedGraph:
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return self._vertices
+        return self._geometry.points
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         if self._edges is None:
-            ends = zip(self._tails[0::2], self._heads[0::2], self._weights.tolist())
-            object.__setattr__(self, "_edges", tuple(Edge(u, v, w) for u, v, w in ends))
+            ends = zip(self._geometry.ends.tolist(), self._weights.tolist())
+            object.__setattr__(self, "_edges", tuple(Edge(u, v, w) for (u, v), w in ends))
         return self._edges
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._geometry.xy)
 
     @property
     def num_edges(self) -> int:
@@ -162,24 +158,24 @@ class EmbeddedGraph:
 
     @property
     def num_directed(self) -> int:
-        return len(self._tails)
+        return 2 * len(self._weights)
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return self._degrees
+        return self._geometry.degrees
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self._geometry.degrees[v]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Directed edge ids with tail ``v``, in ascending id order."""
-        return self._out[v]
+        return self._geometry.out[v]
 
     def tail(self, d: int) -> int:
-        return self._tails[d]
+        return self._geometry.tails[d]
 
     def head(self, d: int) -> int:
-        return self._heads[d]
+        return self._geometry.heads[d]
 
     def edge_weight(self, k: int) -> float:
         return self._weights[k].item()
@@ -190,8 +186,9 @@ class EmbeddedGraph:
 
     def direction(self, d: int) -> tuple[float, float]:
         """Displacement vector (head - tail) of directed edge ``d``."""
-        t = self._vertices[self._tails[d]]
-        h = self._vertices[self._heads[d]]
+        geometry = self._geometry
+        t = geometry.points[geometry.tails[d]]
+        h = geometry.points[geometry.heads[d]]
         return h.x - t.x, h.y - t.y
 
     def weights(self) -> tuple[float, ...]:
@@ -200,9 +197,9 @@ class EmbeddedGraph:
     def with_weights(self, weights: Sequence[float]) -> "EmbeddedGraph":
         """Same geometry and topology, new edge weights.
 
-        Shares this graph's vertex and adjacency tuples and its geometry
-        record, so a validation verdict or transition layout computed for
-        either graph serves both; only the weights are checked.
+        Shares this graph's geometry record, so coordinates, adjacency, a
+        validation verdict or a transition layout computed for either graph
+        serve both; only the weights are checked.
         """
         w = np.array(weights, dtype=np.float64)
         if w.shape != self._weights.shape:
@@ -213,35 +210,165 @@ class EmbeddedGraph:
         if not finite.all():
             k = int(np.argmin(finite))
             raise ValueError(f"edge {k} has non-finite weight {w[k].item()}")
-        g = object.__new__(EmbeddedGraph)
-        for name in self.__slots__:
-            object.__setattr__(g, name, getattr(self, name))
-        object.__setattr__(g, "_weights", _frozen(w))
-        object.__setattr__(g, "_edges", None)
-        return g
+        return _fill(object.__new__(EmbeddedGraph), self._geometry, w)
 
     # -- equality / hashing (value semantics; safe because immutable) ---
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddedGraph):
             return NotImplemented
+        mine, theirs = self._geometry, other._geometry
         return (
-            self._vertices == other._vertices
-            and self._tails == other._tails
+            (
+                mine is theirs
+                or bool(np.array_equal(mine.xy, theirs.xy))
+                and bool(np.array_equal(mine.ends, theirs.ends))
+            )
             and bool(np.array_equal(self._weights, other._weights))
         )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._tails, self.weights()))
+        # Adding 0.0 turns -0.0 into 0.0, which == treats as equal.
+        geometry = self._geometry
+        return hash(
+            (
+                (geometry.xy + 0.0).tobytes(),
+                geometry.ends.tobytes(),
+                (self._weights + 0.0).tobytes(),
+            )
+        )
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph({self.num_vertices} vertices, {self.num_edges} edges)"
+
+
+def _fill(g: EmbeddedGraph, geometry: _Geometry, weights: np.ndarray) -> EmbeddedGraph:
+    """Set the fields of a new graph ``g``; ``weights`` becomes read-only."""
+    object.__setattr__(g, "_geometry", geometry)
+    object.__setattr__(g, "_weights", _frozen(weights))
+    object.__setattr__(g, "_edges", None)
+    return g
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a``, made read-only so that graphs sharing it stay immutable."""
     a.flags.writeable = False
     return a
+
+
+def _non_finite_vertex(i: int, x: float, y: float) -> ValueError:
+    return ValueError(f"vertex {i} has non-finite coordinates ({x}, {y})")
+
+
+def _check_finite(xy: np.ndarray) -> None:
+    """Raise for the first vertex with a non-finite coordinate."""
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise _non_finite_vertex(i, *xy[i].tolist())
+
+
+def _coordinates(vertices: Iterable) -> np.ndarray:
+    """The ``(n, 2)`` float array of the vertices, converted as ``float`` converts.
+
+    Input that numpy cannot read as ``n`` finite pairs (``Point`` objects,
+    ragged or malformed items, ``None``, which numpy reads as nan) is
+    converted one vertex at a time, which raises what the first bad vertex
+    raises.
+    """
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    try:
+        xy = np.array(vertices, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        xy = None
+    if xy is not None and xy.shape == (len(vertices), 2) and np.isfinite(xy).all():
+        return xy
+    rows = []
+    for i, p in enumerate(vertices):
+        x, y = (p.x, p.y) if isinstance(p, Point) else p
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _non_finite_vertex(i, x, y)
+        rows.append((x, y))
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def _edge_error(k: int, u: int, v: int, w: float, n: int, duplicate: bool) -> ValueError | None:
+    """Why edge ``k`` = (u, v, w) of a graph on ``n`` vertices is rejected, if it is."""
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge {k} references vertex out of range: ({u}, {v})")
+    if u == v:
+        return ValueError(f"edge {k} is a self-loop at vertex {u}")
+    if duplicate:
+        return ValueError(f"edge {k} duplicates undirected edge {(min(u, v), max(u, v))}")
+    if not math.isfinite(w):
+        return ValueError(f"edge {k} has non-finite weight {w}")
+    return None
+
+
+def _edge_arrays(edges: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, 2)`` endpoint array and the weight array of the edges.
+
+    Endpoints are converted as ``int`` converts and weights as ``float``
+    does, and the first defective edge is reported.  Triples whose endpoints
+    are Python ints and whose weights numpy reads as finite floats are
+    converted and checked in bulk; any other input (``Edge`` objects, float
+    indices, a weight that is ``None`` or not finite) one edge at a time.
+    """
+    items = edges if isinstance(edges, list) else list(edges)
+    columns = None
+    try:
+        if items and set(map(len, items)) == {3}:
+            us, vs, ws = zip(*items)
+            if set(map(type, us + vs)) == {int}:
+                weights = np.array(ws, dtype=np.float64)
+                if weights.shape == (len(items),) and np.isfinite(weights).all():
+                    columns = us, vs, weights
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if columns is None:
+        return _edges_one_by_one(items, n)
+    return _checked_ends(*columns, n), columns[2]
+
+
+def _edges_one_by_one(items: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_edge_arrays``, converting and checking one edge at a time."""
+    ends, weights, seen = [], [], set()
+    for k, e in enumerate(items):
+        u, v, w = (e.u, e.v, e.weight) if isinstance(e, Edge) else e
+        u, v, w = int(u), int(v), float(w)
+        key = (min(u, v), max(u, v))
+        error = _edge_error(k, u, v, w, n, key in seen)
+        if error is not None:
+            raise error
+        seen.add(key)
+        ends.append((u, v))
+        weights.append(w)
+    return np.array(ends, dtype=np.intp).reshape(-1, 2), np.array(weights, dtype=np.float64)
+
+
+def _checked_ends(us: Sequence[int], vs: Sequence[int], weights: np.ndarray, n: int) -> np.ndarray:
+    """The endpoint array of edges given as int columns; raises for the first defective edge."""
+    try:
+        ends = np.array((us, vs), dtype=np.intp).T
+    except OverflowError:  # an index beyond any array, reported in its turn
+        return _edges_one_by_one(zip(us, vs, weights.tolist()), n)[0]
+    u, v = ends[:, 0], ends[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~np.isfinite(weights)
+    # A later edge with the key of an earlier one is a duplicate.  The key of
+    # an out-of-range edge may equal any key, but such an edge is reported no
+    # later than the edge whose key it shares.
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    duplicate = np.zeros(len(key), dtype=bool)
+    duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    flagged = np.flatnonzero(bad | duplicate)
+    if len(flagged):
+        k = int(flagged[0])
+        (uk, vk), w = ends[k].tolist(), weights[k].item()
+        raise _edge_error(k, uk, vk, w, n, bool(duplicate[k]))
+    return ends
 
 
 def max_degree(g: EmbeddedGraph) -> int:
@@ -344,52 +471,35 @@ def _orient(a: Point, b: Point, c: Point) -> int:
     return (exact > 0) - (exact < 0)
 
 
-def _sign(t: float) -> int:
-    return (t > 0.0) - (t < 0.0)
+def _orientations(pts: np.ndarray, a, b, c) -> np.ndarray:
+    """``_orient`` of every triangle of points ``a``, ``b``, ``c``, as an int8 array.
 
-
-def _within_box(a: Point, b: Point, p: Point) -> bool:
-    """Is p inside the closed bounding box of segment a-b?"""
-    return min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-
-
-def _segments_conflict(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Closed-segment intersection test for segments with no shared endpoint."""
-    o1 = _orient(p1, p2, q1)
-    o2 = _orient(p1, p2, q2)
-    o3 = _orient(q1, q2, p1)
-    o4 = _orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
-        return True  # proper crossing
-    # Touching or collinear-overlap cases.
-    if o1 == 0 and _within_box(p1, p2, q1):
-        return True
-    if o2 == 0 and _within_box(p1, p2, q2):
-        return True
-    if o3 == 0 and _within_box(q1, q2, p1):
-        return True
-    if o4 == 0 and _within_box(q1, q2, p2):
-        return True
-    return False
-
-
-def _edges_conflict(vertices, ui: int, vi: int, uj: int, vj: int) -> bool:
-    """Do two non-zero-length edges meet anywhere except a shared endpoint?"""
-    if ui == uj or ui == vj:
-        s, p, q = ui, vi, (vj if ui == uj else uj)
-    elif vi == uj or vi == vj:
-        s, p, q = vi, ui, (vj if vi == uj else uj)
-    else:
-        return _segments_conflict(vertices[ui], vertices[vi], vertices[uj], vertices[vj])
-    # Collinear and pointing the same way from the shared vertex means the
-    # segments overlap beyond it.  The vectors are parallel, so they point the
-    # same way exactly when their coordinate differences have equal signs.
-    sp, pp, qp = vertices[s], vertices[p], vertices[q]
-    return (
-        _orient(sp, pp, qp) == 0
-        and _sign(pp.x - sp.x) == _sign(qp.x - sp.x)
-        and _sign(pp.y - sp.y) == _sign(qp.y - sp.y)
-    )
+    ``pts`` holds the x and the y coordinates as two rows; ``a``/``b``/``c``
+    are index arrays.  The float filter is ``_orient``'s own arithmetic,
+    elementwise in the same IEEE operations, so it decides exactly the
+    triangles that ``_orient`` decides in floats; only the ones it leaves
+    open go to ``_orient``.
+    """
+    pa = pts.take(a, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = pts.take(b, axis=1) - pa
+        v = pts.take(c, axis=1) - pa
+        left, right = u[0] * v[1], u[1] * v[0]
+        det = left - right
+        bound = np.abs(left, out=left)
+        bound += np.abs(right, out=right)
+        bound *= _ORIENT_ERRBOUND
+        trusted = (bound >= _MIN_NORMAL) & (bound < math.inf)
+        positive = trusted & (det > bound)
+        negative = trusted & (det < np.negative(bound, out=bound))
+    sign = positive.view(np.int8) - negative.view(np.int8)
+    # ``_orient``'s test for an axis-parallel zero, and a repeated point.
+    u, v = u == 0.0, v == 0.0
+    zero = (u[0] | v[1]) & (u[1] | v[0]) | (b == c)
+    for t in (~(positive | negative | zero)).nonzero()[0].tolist():
+        corners = pts[:, [a[t], b[t], c[t]]].T.tolist()
+        sign[t] = _orient(*(Point(x, y) for x, y in corners))
+    return sign
 
 
 def _grid_shape(cells: int, width: float, height: float) -> tuple[int, int]:
@@ -403,99 +513,217 @@ def _grid_shape(cells: int, width: float, height: float) -> tuple[int, int]:
     return cols, max(1, cells // cols)
 
 
-def _axis_cells(coords: list[float], n: int) -> tuple[int, list[int]]:
-    """Cut [min, max] of ``coords`` into ``n`` equal cells; the cell of each coordinate.
+def _grid(pts: np.ndarray, cells: int) -> tuple[np.ndarray, int, int]:
+    """The (column, row) of every point, as two rows, and the number of
+    columns and rows, for about ``cells`` cells.
 
-    The cell index never decreases as the coordinate grows, whatever the
-    rounding, so every point of an interval [a, b] lies in a cell from
-    cell(a) to cell(b).  A span that floats cannot cut gets one cell.
+    Each axis's [min, max] is cut into equal cells.  The cell index never
+    decreases as the coordinate grows, whatever the rounding, so every point
+    of an interval [a, b] lies in a cell from cell(a) to cell(b).  An axis
+    whose span floats cannot cut gets one cell.
     """
-    lo = min(coords)
-    size = (max(coords) - lo) / n
-    if not _MIN_NORMAL <= size < math.inf:
-        return 1, [0] * len(coords)
-    last = n - 1
-    return n, [min(last, int((c - lo) / size)) for c in coords]
+    low = pts.min(axis=1)
+    extent = (pts.max(axis=1) - low).tolist()
+    shape = list(_grid_shape(cells, *extent))
+    index = np.zeros(pts.shape, dtype=np.intp)
+    for axis, n in enumerate(shape):
+        size = extent[axis] / n
+        if _MIN_NORMAL <= size < math.inf:
+            scaled = (pts[axis] - low[axis]) / size
+            np.minimum(scaled.astype(np.intp), n - 1, out=index[axis])
+        else:
+            shape[axis] = 1
+    return index, shape[0], shape[1]
 
 
-def _validate_geometry(
-    vertices: tuple[Point, ...], endpoints: tuple[tuple[int, int], ...]
-) -> tuple[Violation, ...]:
+# The validation fills its grid cells, builds its candidate pairs and
+# decides their orientations in chunks of about this many, so that its
+# memory stays bounded when one cell holds many edges (a hub and its spokes).
+_PAIR_CAP = 1 << 12
+_NO_PAIRS = (np.zeros(0, dtype=np.intp),) * 2
+
+
+def _pair_chunks(first: np.ndarray, length: np.ndarray):
+    """The index pairs (r, first[r] + a) for every row r and 0 <= a < length[r].
+
+    Yields them as two arrays, in row order, at most ``_PAIR_CAP`` pairs at a
+    time; a row longer than the cap is split between chunks.
+    """
+    end = length.cumsum()
+    start = end - length
+    total = end[-1].item() if len(end) else 0
+    for s in range(0, total, _PAIR_CAP):
+        index = np.arange(s, min(s + _PAIR_CAP, total))
+        row = end.searchsorted(index, side="right")
+        yield row, first[row] + (index - start[row])
+
+
+def _candidates(pts, a, b, lo, hi, edge_count):
+    """The pairs of items that reach the exact tests, as chunks of (i, j) arrays, i < j.
+
+    Item ``t`` is the segment from point ``a[t]`` to point ``b[t]``, with the
+    closed box from ``lo[:, t]`` to ``hi[:, t]``; items ``0 .. edge_count - 1``
+    are edges and the rest are vertices, as segments from a point to itself.
+    Each item goes into every grid cell that its box covers.  A pair shares
+    a cell, has overlapping boxes and holds an edge; it is made once, in the
+    first cell (lowest column and row) that both items cover, which for a
+    vertex is its only cell.  The cells are filled a band of grid rows at a
+    time, a band holding about ``_PAIR_CAP`` (item, cell) incidences, and the
+    pairs come in chunks of at most ``_PAIR_CAP``.
+    """
+    cell, cols, rows = _grid(pts, edge_count)
+    ca, cb = cell.take(a, axis=1), cell.take(b, axis=1)
+    (first_col, first_row), (last_col, last_row) = np.minimum(ca, cb), np.maximum(ca, cb)
+    width = last_col - first_col + 1
+    bounds = [0, rows]
+    if (width * (last_row - first_row + 1)).sum() > _PAIR_CAP:
+        # Bands of consecutive rows, each starting before about _PAIR_CAP
+        # incidences of the rows above it.
+        load = (
+            np.bincount(first_row, weights=width, minlength=rows + 1)
+            - np.bincount(last_row + 1, weights=width, minlength=rows + 1)
+        ).cumsum()[:rows]
+        band = (load.cumsum() - load) // _PAIR_CAP
+        bounds = [0, *(np.diff(band).nonzero()[0] + 1).tolist(), rows]
+    items = np.arange(len(a))
+    for top, bottom in zip(bounds, bounds[1:]):
+        # The band's (item, cell) incidences, sorted by cell, then by item.
+        # ``corner`` has bit 1 where the cell is in its item's first column
+        # and bit 2 where it is in its item's first row.
+        r0 = np.maximum(first_row, top)
+        count = width * (np.minimum(last_row, bottom - 1) - r0 + 1).clip(0)
+        item = items.repeat(count)
+        offset = np.arange(len(item)) - (count.cumsum() - count).repeat(count)
+        span = width.repeat(count)
+        down = offset // span
+        right = offset - down * span
+        at = ((r0 - top) * cols + first_col).repeat(count) + down * cols + right
+        corner = (right == 0) + 2 * ((down == 0) & (first_row >= top).repeat(count))
+        order = at.argsort(kind="stable")
+        item, at, corner = item[order], at[order], corner[order]
+        # Each incidence with every earlier one in its cell.  Both items
+        # cover the cell, so it is the first they share when it is in the
+        # first column of one of them and in the first row of one of them.
+        own = at.searchsorted(at)
+        for later, earlier in _pair_chunks(own, np.arange(len(at)) - own):
+            keep = (corner[later] | corner[earlier]) == 3
+            i, j = item[earlier[keep]], item[later[keep]]
+            keep = (lo.take(i, axis=1) <= hi.take(j, axis=1)).all(axis=0)
+            keep &= (lo.take(j, axis=1) <= hi.take(i, axis=1)).all(axis=0)
+            keep &= i < edge_count
+            yield i[keep], j[keep]
+
+
+def _conflicts(pts, a, b, lo, hi, edge_count, i, j):
+    """The candidate pairs (i, j) that fail: edges that meet anywhere except a
+    shared endpoint, and vertices j that lie on edge i.
+
+    Disjoint edges need four orientations; an edge and a vertex, or two edges
+    with a shared endpoint, need one: of edge i and the end of item j that it
+    does not share.  All of them are decided in one ``_orientations`` call.
+    """
+    a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
+    a2_shared = (a2 == a1) | (a2 == b1)
+    shared = a2_shared | (b2 == a1) | (b2 == b1)
+    single = shared | (j >= edge_count)
+    four, one = (~single).nonzero()[0], single.nonzero()[0]
+    i4, j4 = i[four], j[four]
+    a1f, b1f, a2f, b2f = a1[four], b1[four], a2[four], b2[four]
+    other = np.where(a2_shared, b2, a2)[one]
+    points = np.concatenate((a2f, b2f, a1f, b1f, other))
+    o = _orientations(
+        pts,
+        np.concatenate((a1f, a1f, a2f, a2f, a1[one])),
+        np.concatenate((b1f, b1f, b2f, b2f, b1[one])),
+        points,
+    )
+    n = len(four)
+    # Disjoint edges: a proper crossing, or an endpoint of one on the other.
+    o1, o2, o3, o4 = o[: 4 * n].reshape(4, n)
+    crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
+    touch = (o[: 4 * n] == 0).nonzero()[0]
+    if len(touch):
+        owner = np.concatenate((i4, i4, j4, j4))[touch]
+        at = pts.take(points[touch], axis=1)
+        inside = np.zeros(4 * n, dtype=bool)
+        within = (lo.take(owner, axis=1) <= at) & (at <= hi.take(owner, axis=1))
+        inside[touch] = within.all(axis=0)
+        crossing |= inside.reshape(4, n).any(axis=0)
+    # A vertex in an edge's box is on it when the three are collinear.  Edges
+    # with a shared endpoint s overlap when they leave it collinear and the
+    # same way: the other ends p and q have p - s and q - s of equal signs.
+    # A vertex never does so with its own edge, as q - s is zero there.
+    meet = o[4 * n :] == 0
+    check = (meet & shared[one]).nonzero()[0]
+    if len(check):
+        k = one[check]
+        s = pts.take(np.where(a2_shared[k], a2[k], b2[k]), axis=1)
+        p = pts.take(a1[k], axis=1) + pts.take(b1[k], axis=1) - s
+        ahead = np.sign(p - s) == np.sign(pts.take(other[check], axis=1) - s)
+        meet[check] = ahead.all(axis=0)
+    return (
+        np.concatenate((i4[crossing], i[one][meet])),
+        np.concatenate((j4[crossing], j[one][meet])),
+    )
+
+
+def _validate_geometry(xy: np.ndarray, ends: np.ndarray) -> tuple[Violation, ...]:
     """Weight-independent geometry checks; ``validate_embedding`` keeps the verdict.
 
-    Each non-zero-length edge goes into every cell of a uniform grid that its
-    bounding box covers.  Only pairs of edges that share a cell and whose
-    closed bounding boxes overlap reach the exact tests, and a vertex is
-    tested only against the edges in its own cell; the grid is a filter and
-    never decides a verdict.  About O(|E|) on lattices.
+    ``xy`` holds the vertex coordinates, one row per vertex, and ``ends`` the
+    two endpoints of each edge.  Each non-zero-length edge goes into every
+    cell of a uniform grid that its bounding box covers, and each vertex into
+    its cell.  Only pairs of edges that share a cell and whose closed
+    bounding boxes overlap reach the exact tests, and a vertex is tested only
+    against the edges in its own cell (``_candidates``); the grid is a filter
+    and never decides a verdict.
+
+    All of it runs on numpy arrays, a chunk of about ``_PAIR_CAP`` pairs at a
+    time, and the orientations of the candidates are decided in batches of
+    about ``_PAIR_CAP`` pairs (one batch for a small graph).  About O(|E|) on
+    lattices; a hub whose spokes' boxes cover much of the grid makes
+    O(|E|^3) candidate pairs.
     """
-    xs = [p.x for p in vertices]
-    ys = [p.y for p in vertices]
-    live = []
-    violations: list[Violation] = []
-    for k, (u, v) in enumerate(endpoints):
-        if xs[u] == xs[v] and ys[u] == ys[v]:
-            violations.append(Violation("zero_length", (k,)))
-        else:
-            live.append(k)
-    if not live:
+    pts = np.ascontiguousarray(xy.T)
+    u, v = ends[:, 0], ends[:, 1]
+    pu, pv = pts.take(u, axis=1), pts.take(v, axis=1)
+    zero = (pu == pv).all(axis=0)
+    live = (~zero).nonzero()[0]
+    violations = [Violation("zero_length", (k,)) for k in zero.nonzero()[0].tolist()]
+    if not len(live):
         return tuple(violations)
+    if violations:
+        u, v, pu, pv = u[live], v[live], pu[:, live], pv[:, live]
+    edge_count = len(live)
+    vertex = np.arange(len(xy))
+    a, b = np.concatenate((u, vertex)), np.concatenate((v, vertex))
+    lo = np.concatenate((np.minimum(pu, pv), pts), axis=1)
+    hi = np.concatenate((np.maximum(pu, pv), pts), axis=1)
 
-    cols, rows = _grid_shape(len(live), max(xs) - min(xs), max(ys) - min(ys))
-    cols, col = _axis_cells(xs, cols)
-    rows, row = _axis_cells(ys, rows)
-    m = len(endpoints)
-    x_lo, x_hi, y_lo, y_hi = [0.0] * m, [0.0] * m, [0.0] * m, [0.0] * m
-    first_col, first_row = [0] * m, [0] * m
-    cells: list[list[int]] = [[] for _ in range(cols * rows)]
-    for k in live:
-        u, v = endpoints[k]
-        x_lo[k], x_hi[k] = min(xs[u], xs[v]), max(xs[u], xs[v])
-        y_lo[k], y_hi[k] = min(ys[u], ys[v]), max(ys[u], ys[v])
-        c0, c1 = min(col[u], col[v]), max(col[u], col[v])
-        r0, r1 = min(row[u], row[v]), max(row[u], row[v])
-        first_col[k], first_row[k] = c0, r0
-        for r in range(r0 * cols, r1 * cols + 1, cols):
-            for c in range(r + c0, r + c1 + 1):
-                cells[c].append(k)
+    found, batch, pending = [], [], 0
+    for i, j in _candidates(pts, a, b, lo, hi, edge_count):
+        if pending + len(i) > _PAIR_CAP:
+            pairs = map(np.concatenate, zip(*batch))
+            found.append(_conflicts(pts, a, b, lo, hi, edge_count, *pairs))
+            batch, pending = [], 0
+        batch.append((i, j))
+        pending += len(i)
+    pairs = map(np.concatenate, zip(_NO_PAIRS, *batch))
+    found.append(_conflicts(pts, a, b, lo, hi, edge_count, *pairs))
 
-    crossings = []
-    for index, cell in enumerate(cells):
-        r, c = divmod(index, cols)
-        for a, i in enumerate(cell):
-            ui, vi = endpoints[i]
-            for j in cell[a + 1 :]:
-                # Test each pair once, in the first cell (lowest column and
-                # row) that both edges cover, and only if their boxes overlap.
-                if (
-                    max(first_col[i], first_col[j]) == c
-                    and max(first_row[i], first_row[j]) == r
-                    and x_lo[i] <= x_hi[j]
-                    and x_lo[j] <= x_hi[i]
-                    and y_lo[i] <= y_hi[j]
-                    and y_lo[j] <= y_hi[i]
-                    and _edges_conflict(vertices, ui, vi, *endpoints[j])
-                ):
-                    crossings.append((i, j))
-    crossings.sort()
-    violations.extend(Violation("crossing", pair) for pair in crossings)
-
-    on_edge = []
-    for w, p in enumerate(vertices):
-        x, y = p.x, p.y
-        for k in cells[row[w] * cols + col[w]]:
-            u, v = endpoints[k]
-            if (
-                w != u
-                and w != v
-                and x_lo[k] <= x <= x_hi[k]
-                and y_lo[k] <= y <= y_hi[k]
-                and _orient(vertices[u], vertices[v], p) == 0
-            ):
-                on_edge.append((k, w))
-    on_edge.sort()
-    violations.extend(Violation("vertex_on_edge", (k,), vertex=w) for k, w in on_edge)
+    i, j = map(np.concatenate, zip(*found))
+    order = np.lexsort((j, i))
+    i, j = live[i[order]], j[order]
+    pair = j < edge_count
+    violations.extend(
+        Violation("crossing", e) for e in zip(i[pair].tolist(), live[j[pair]].tolist())
+    )
+    violations.extend(
+        Violation("vertex_on_edge", (k,), vertex=w)
+        for k, w in zip(i[~pair].tolist(), (j[~pair] - edge_count).tolist())
+    )
     return tuple(violations)
+
 
 
 def validate_embedding(g: EmbeddedGraph) -> ValidationReport:
@@ -508,9 +736,7 @@ def validate_embedding(g: EmbeddedGraph) -> ValidationReport:
     """
     geometry = g._geometry
     if geometry.violations is None:
-        geometry.violations = _validate_geometry(
-            g.vertices, tuple(zip(g._tails[0::2], g._heads[0::2]))
-        )
+        geometry.violations = _validate_geometry(geometry.xy, geometry.ends)
     return ValidationReport(ok=not geometry.violations, violations=geometry.violations)
 
 
@@ -548,8 +774,42 @@ def _check_int(value, what: str) -> int:
     return value
 
 
+_NUMBER = frozenset({int, float})
+_INT = frozenset({int})
+
+
+def _rows_of(rows: list, kinds: tuple[frozenset, ...]) -> bool:
+    """Is every row a list of ``len(kinds)`` items, item ``c`` of an exact type in ``kinds[c]``?
+
+    JSON decodes to exact ``int``, ``float`` and ``bool``, so this is the
+    per-item ``_check_number``/``_check_int`` test, made on whole columns.
+    """
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(kinds)}:
+        return False
+    return all(set(map(type, column)) <= kind for column, kind in zip(zip(*rows), kinds))
+
+
+def _raise_first_format_error(vertices: list, edges: list) -> None:
+    """Check the rows one at a time, in file order, and raise at the first bad one."""
+    for i, item in enumerate(vertices):
+        if not isinstance(item, list) or len(item) != 2:
+            raise GraphFormatError(f"vertex {i} must be a pair [x, y]")
+        _check_number(item[0], f"vertex {i} x")
+        _check_number(item[1], f"vertex {i} y")
+    for k, item in enumerate(edges):
+        if not isinstance(item, list) or len(item) != 3:
+            raise GraphFormatError(f"edge {k} must be a triple [u, v, weight]")
+        _check_int(item[0], f"edge {k} endpoint u")
+        _check_int(item[1], f"edge {k} endpoint v")
+        _check_number(item[2], f"edge {k} weight")
+
+
 def loads_graph(text: str) -> EmbeddedGraph:
-    """Parse a graph from its text form; strict about shape and fields."""
+    """Parse a graph from its text form; strict about shape and fields.
+
+    The rows are type-checked and converted a column at a time; only a file
+    with a bad row is checked again one row at a time, to name that row.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -561,33 +821,23 @@ def loads_graph(text: str) -> EmbeddedGraph:
         raise GraphFormatError(f"unknown fields: {sorted(extra)}")
     if "vertices" not in data or "edges" not in data:
         raise GraphFormatError('missing required fields "vertices" and/or "edges"')
-    if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+    vertices, edges = data["vertices"], data["edges"]
+    if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphFormatError('"vertices" and "edges" must be lists')
 
-    vertices = []
-    for i, item in enumerate(data["vertices"]):
-        if not isinstance(item, list) or len(item) != 2:
-            raise GraphFormatError(f"vertex {i} must be a pair [x, y]")
-        vertices.append(
-            (_check_number(item[0], f"vertex {i} x"), _check_number(item[1], f"vertex {i} y"))
-        )
-
-    edges = []
-    for k, item in enumerate(data["edges"]):
-        if not isinstance(item, list) or len(item) != 3:
-            raise GraphFormatError(f"edge {k} must be a triple [u, v, weight]")
-        edges.append(
-            (
-                _check_int(item[0], f"edge {k} endpoint u"),
-                _check_int(item[1], f"edge {k} endpoint v"),
-                _check_number(item[2], f"edge {k} weight"),
-            )
-        )
-
+    if not (_rows_of(vertices, (_NUMBER, _NUMBER)) and _rows_of(edges, (_INT, _INT, _NUMBER))):
+        _raise_first_format_error(vertices, edges)
+    # An int beyond the float range raises OverflowError here, as float()
+    # does, before any check of the graph's structure.
+    xy = np.array(vertices, dtype=np.float64).reshape(-1, 2)
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    weights = np.array(ws, dtype=np.float64)
     try:
-        return EmbeddedGraph(vertices, edges)
+        _check_finite(xy)
+        ends = _checked_ends(us, vs, weights, len(xy))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
+    return _fill(object.__new__(EmbeddedGraph), _Geometry(xy, ends), weights)
 
 
 def dumps_graph(g: EmbeddedGraph) -> str:
@@ -603,7 +853,7 @@ def dumps_graph(g: EmbeddedGraph) -> str:
         inner = ",\n    ".join(rows)
         return "[\n    " + inner + "\n  ]"
 
-    vrows = [json.dumps([p.x, p.y]) for p in g.vertices]
+    vrows = [json.dumps(p) for p in g._geometry.xy.tolist()]
     erows = [json.dumps([e.u, e.v, e.weight]) for e in g.edges]
     return (
         "{\n"

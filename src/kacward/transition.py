@@ -96,21 +96,27 @@ class _Layout(NamedTuple):
 
 
 def _layout(g: EmbeddedGraph) -> _Layout:
-    """The layout of ``g``'s drawing, computed once per geometry record."""
+    """The layout of ``g``'s drawing, computed once per geometry record.
+
+    Row ``d`` of the steps lists the out-edges of ``d``'s head in ascending
+    id order, less the reversal ``d ^ 1``, gathered from the out-edge CSR;
+    the turning angles come from the coordinate array, with
+    ``turning_angle``'s formula.
+    """
     geometry = g._geometry
     if geometry.layout is not None:
         return geometry.layout
     n = g.num_directed
-    rows, cols = [], []
-    for d in range(n):
-        for f in g.out_edges(g.head(d)):
-            if f != (d ^ 1):
-                rows.append(d)
-                cols.append(f)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    # Turning angles of all steps at once, with turning_angle's formula.
-    step = np.array([g.direction(d) for d in range(n)], dtype=np.float64).reshape(-1, 2)
+    tails = geometry.ends.reshape(-1)
+    heads = geometry.ends[:, ::-1].reshape(-1)
+    first = geometry.out_ptr[heads]
+    count = geometry.out_ptr[heads + 1] - first
+    rows = np.repeat(np.arange(n), count)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count - first, count)
+    cols = geometry.out_ids[slot]
+    forward = cols != (rows ^ 1)
+    rows, cols = rows[forward], cols[forward]
+    step = geometry.xy[heads] - geometry.xy[tails]
     ex, ey = step[rows, 0], step[rows, 1]
     fx, fy = step[cols, 0], step[cols, 1]
     angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
@@ -136,20 +142,20 @@ def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
 
 
 def _parity(perm: np.ndarray) -> int:
-    """0 if the permutation is even, 1 if odd."""
-    p = perm.tolist()
-    seen = [False] * len(p)
-    transpositions = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        j = start
-        while not seen[j]:  # a cycle of length c is c - 1 transpositions
-            seen[j] = True
-            j = p[j]
-            transpositions += 1
-        transpositions -= 1
-    return transpositions & 1
+    """0 if the permutation is even, 1 if odd.
+
+    A cycle of length c is c - 1 transpositions, so the parity is that of
+    ``n - cycles``.  The cycles are counted by pointer jumping: after k rounds
+    ``label[i]`` is the least of i and its next 2^k - 1 images, so after
+    ceil(log2 n) rounds it is the least element of i's cycle.
+    """
+    p = np.asarray(perm, dtype=np.intp)
+    n = len(p)
+    label = np.arange(n)
+    for _ in range(max(n - 1, 0).bit_length()):
+        label = np.minimum(label, label[p])
+        p = p[p]
+    return (n - int(np.count_nonzero(label == np.arange(n)))) & 1
 
 
 def _sparse_slogdet(a) -> tuple[float, float]:
@@ -168,7 +174,10 @@ def _sparse_slogdet(a) -> tuple[float, float]:
     pivots = lu.U.diagonal()
     log_abs = float(np.sum(np.log(np.abs(pivots))))
     phase = float(np.sum(np.angle(pivots)))
-    phase += math.pi * (_parity(lu.perm_r) ^ _parity(lu.perm_c))
+    # The permutation acting on perm_r's n items and perm_c's, shifted past
+    # them, has the parity of the two together.
+    n = len(lu.perm_c)
+    phase += math.pi * _parity(np.concatenate((lu.perm_r, lu.perm_c + n)))
     phase = math.remainder(phase, 2.0 * math.pi)
     if phase == -math.pi:
         phase = math.pi

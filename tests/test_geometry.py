@@ -166,9 +166,17 @@ def _geometry(pts, pairs, transform):
     return vertices, tuple(pairs)
 
 
+def _arrays(vertices, endpoints):
+    """The coordinate and endpoint arrays that ``_validate_geometry`` reads."""
+    xy = np.array([(p.x, p.y) for p in vertices], dtype=np.float64).reshape(-1, 2)
+    return xy, np.array(endpoints, dtype=np.intp).reshape(-1, 2)
+
+
 def _assert_same_as_reference(pts, pairs, transform):
     vertices, endpoints = _geometry(pts, pairs, transform)
-    assert _validate_geometry(vertices, endpoints) == reference_violations(vertices, endpoints)
+    assert _validate_geometry(*_arrays(vertices, endpoints)) == reference_violations(
+        vertices, endpoints
+    )
 
 
 transforms = st.sampled_from(sorted(TRANSFORMS))
@@ -198,13 +206,65 @@ def test_grid_matches_reference_with_long_hub_edges(graph_, transform):
     _assert_same_as_reference(*graph_, transform)
 
 
-def test_grid_matches_reference_on_crossing_soup():
-    # Many long random segments: dense crossings in most grid cells.
+def crossing_soups():
+    """Many long random segments, one soup per transform: dense crossings in most grid cells."""
     rng = np.random.default_rng(11)
     for transform in TRANSFORMS:
         pts = [tuple(p) for p in rng.uniform(0.0, 10.0, size=(40, 2))]
         pairs = sorted({(min(e), max(e)) for e in rng.integers(0, 40, size=(60, 2)) if e[0] != e[1]})
-        _assert_same_as_reference(pts, [(int(u), int(v)) for u, v in pairs], transform)
+        yield pts, [(int(u), int(v)) for u, v in pairs], transform
+
+
+def test_grid_matches_reference_on_crossing_soup():
+    for soup in crossing_soups():
+        _assert_same_as_reference(*soup)
+
+
+# -- the pair arrays are built in bounded chunks -------------------------------------
+
+
+def _capped(monkeypatch, cap):
+    """Set the chunk cap; returns the sizes of the pair chunks built, and of the
+    batches whose orientations were decided, from then on."""
+    sizes = []
+    real_chunks, real_conflicts = graph._pair_chunks, graph._conflicts
+
+    def recording(first, length):
+        for rows, partners in real_chunks(first, length):
+            sizes.append(len(rows))
+            yield rows, partners
+
+    def deciding(*args):
+        sizes.append(len(args[-1]))
+        return real_conflicts(*args)
+
+    monkeypatch.setattr(graph, "_PAIR_CAP", cap)
+    monkeypatch.setattr(graph, "_pair_chunks", recording)
+    monkeypatch.setattr(graph, "_conflicts", deciding)
+    return sizes
+
+
+@pytest.mark.parametrize("cap", [1, 7, graph._PAIR_CAP])
+def test_chunk_cap_changes_no_verdict_on_the_crossing_soup(monkeypatch, cap):
+    sizes = _capped(monkeypatch, cap)
+    for soup in crossing_soups():
+        _assert_same_as_reference(*soup)
+    assert sizes and max(sizes) <= cap
+    if cap < 100:
+        assert len(sizes) > len(TRANSFORMS)  # the pairs really were split
+
+
+@pytest.mark.parametrize("cap", [1, 7, graph._PAIR_CAP])
+def test_chunk_cap_changes_no_verdict_on_hub_graphs(cap):
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(hub_graphs(), transforms)
+    def check(graph_, transform):
+        with pytest.MonkeyPatch.context() as m:
+            sizes = _capped(m, cap)
+            _assert_same_as_reference(*graph_, transform)
+        assert max(sizes, default=0) <= cap
+
+    check()
 
 
 # -- the predicate ----------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Embedded-graph data model: validation, turning angles, directed ids, file I/O."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from kacward import (
+    Edge,
     EmbeddedGraph,
     GraphFormatError,
+    Point,
     dumps_graph,
     edge_index,
+    gen_square,
     loads_graph,
     max_degree,
     reverse_edge,
@@ -42,6 +46,86 @@ def test_rejects_non_finite():
         EmbeddedGraph([(0, 0), (float("nan"), 0)], [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         EmbeddedGraph([(0, 0), (1, 0)], [(0, 1, float("inf"))])
+
+
+def test_first_defective_edge_is_reported():
+    # Edge 3 duplicates edge 0; edge 5 has an out-of-range index.
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 0, 1.0), (0, 2, 1.0), (0, 9, 1.0)]
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    message = r"^edge 3 duplicates undirected edge \(0, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        EmbeddedGraph(vertices, edges)
+    with pytest.raises(ValueError, match=message):
+        EmbeddedGraph(vertices, [Edge(*e) for e in edges])  # one edge at a time
+    text = json.dumps({"vertices": vertices, "edges": edges})
+    with pytest.raises(GraphFormatError, match=message):
+        loads_graph(text)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1, 1.0), (2, -1, 1.0)], "edge 1 references vertex out of range: (2, -1)"),
+        ([(0, 1, 1.0), (2, 2**70, 1.0)], f"edge 1 references vertex out of range: (2, {2**70})"),
+        ([(0, 1, 1.0), (2, 2, 1.0)], "edge 1 is a self-loop at vertex 2"),
+        ([(0, 1, 1.0), (1, 2, math.nan), (0, 9, 1.0)], "edge 1 has non-finite weight nan"),
+        ([(0, 1, -math.inf), (1, 1, 1.0)], "edge 0 has non-finite weight -inf"),
+        ([(0, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0)], "edge 2 duplicates undirected edge (1, 2)"),
+    ],
+)
+def test_edge_errors_are_the_same_in_bulk_and_one_at_a_time(edges, message):
+    vertices = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    for given in (edges, [Edge(*e) for e in edges]):
+        with pytest.raises(ValueError) as info:
+            EmbeddedGraph(vertices, given)
+        assert str(info.value) == message
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    assert str(info.value) == message
+
+
+def test_vertex_errors_are_the_same_in_bulk_and_one_at_a_time():
+    message = "vertex 1 has non-finite coordinates (inf, 0.0)"
+    in_bulk = [(0.0, 0.0), (math.inf, 0.0), (math.nan, 0.0)]
+    for given in (in_bulk, [Point(0.0, 0.0), Point(math.inf, 0.0)]):
+        with pytest.raises(ValueError) as info:
+            EmbeddedGraph(given, [])
+        assert str(info.value) == message
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph('{"vertices": [[0, 0], [Infinity, 0]], "edges": []}')
+    assert str(info.value) == message
+
+
+def test_signed_zeros_give_equal_graphs_and_hashes():
+    g = EmbeddedGraph([(0.0, -0.0), (1.0, 0.0)], [(0, 1, 0.0)])
+    h = EmbeddedGraph([(-0.0, 0.0), (1.0, -0.0)], [(0, 1, -0.0)])
+    assert g == h and hash(g) == hash(h)
+    assert g.with_weights([-0.0]) == g and hash(g.with_weights([-0.0])) == hash(g)
+
+
+def test_large_integer_coordinates_parse_as_float_does():
+    text = json.dumps({"vertices": [[2**70, -(2**70) - 1], [0, 3]], "edges": [[0, 1, 2**60]]})
+    g = loads_graph(text)
+    assert g.vertices == (Point(float(2**70), float(-(2**70) - 1)), Point(0.0, 3.0))
+    assert g.weights() == (float(2**60),)
+    assert all(type(c) is float for p in g.vertices for c in (p.x, p.y))
+
+
+def test_construction_makes_no_point_until_vertices_are_read(monkeypatch):
+    from kacward import graph
+
+    made = []
+
+    class CountingPoint(Point):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph, "Point", CountingPoint)
+    g = loads_graph(dumps_graph(gen_square(3, 2, 0.5)))  # no orientation needs rationals
+    h = g.with_weights([0.25] * g.num_edges)
+    assert validate_embedding(h).ok and made == []
+    assert h.vertices is g.vertices and len(made) == g.num_vertices == 12
 
 
 def test_graph_is_immutable():

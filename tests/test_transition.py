@@ -27,7 +27,7 @@ from kacward import (
     uniform_ising,
 )
 from kacward.lattices import IsingInstance
-from kacward.transition import _parity, _sparse_slogdet
+from kacward.transition import _layout, _parity, _sparse_slogdet
 from conftest import (
     disjoint_union,
     make_bowtie,
@@ -221,6 +221,37 @@ def test_parity_matches_permutation_matrix_determinant():
         assert _parity(perm) == (0 if det > 0 else 1)
 
 
+def reference_parity(perm) -> int:
+    """0 if the permutation is even, 1 if odd: one Python step per element."""
+    p = list(perm)
+    seen = [False] * len(p)
+    transpositions = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        j = start
+        while not seen[j]:  # a cycle of length c is c - 1 transpositions
+            seen[j] = True
+            j = p[j]
+            transpositions += 1
+        transpositions -= 1
+    return transpositions & 1
+
+
+def test_parity_matches_the_cycle_walk_on_random_permutations():
+    rng = np.random.default_rng(5)
+    sizes = [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100, 1023, 1024, 1025, 4097, 65537, 100_000]
+    for n in sizes:
+        perms = [rng.permutation(n) for _ in range(3 if n < 10_000 else 1)]
+        perms.append(np.arange(n))
+        if n >= 2:
+            swapped = np.arange(n)
+            swapped[[0, n - 1]] = swapped[[n - 1, 0]]
+            perms += [swapped, np.roll(np.arange(n), 1)]  # one transposition; one n-cycle
+        for perm in perms:
+            assert _parity(perm) == reference_parity(perm.tolist()), n
+
+
 def test_singular_factor_is_numerical_error():
     with pytest.raises(NumericalError):
         _sparse_slogdet(csc_array(np.ones((2, 2), dtype=np.complex128)))
@@ -364,6 +395,52 @@ def test_reweighted_copies_are_bit_identical_to_fresh_graphs(g):
             assert tm.size == want.size
             assert np.array_equal(tm.rows, want.rows) and np.array_equal(tm.cols, want.cols)
             assert np.array_equal(tm.values, want.values)
+
+
+def reference_layout(g: EmbeddedGraph):
+    """The six ``_Layout`` arrays, with the steps found one directed edge at a time."""
+    n = g.num_directed
+    rows, cols = [], []
+    for d in range(n):
+        for f in g.out_edges(g.head(d)):
+            if f != (d ^ 1):
+                rows.append(d)
+                cols.append(f)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    step = np.array([g.direction(d) for d in range(n)], dtype=np.float64).reshape(-1, 2)
+    ex, ey = step[rows, 0], step[rows, 1]
+    fx, fy = step[cols, 0], step[cols, 1]
+    angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
+    angle[angle == -math.pi] = math.pi
+    diag = np.arange(n)
+    all_rows = np.concatenate((diag, rows))
+    all_cols = np.concatenate((diag, cols))
+    order = np.lexsort((all_rows, all_cols))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
+    return rows, cols, np.exp(0.5j * angle), indptr, all_rows[order], order
+
+
+def test_layout_is_bit_identical_to_the_per_step_loop(corpus):
+    graphs = corpus + [
+        gen_square(1, 1, 0.5),
+        gen_square(9, 22, 0.5),
+        gen_square(11, 18, 0.5),
+        gen_hex(38, 3, 0.5),
+        gen_hex(30, 4, 0.5),
+        make_single_edge(),
+        make_path3(),
+        EmbeddedGraph([(0.0, 0.0), (1.0, 0.0)], []),
+        EmbeddedGraph([], []),
+    ] + [make_wheel(k) for k in (3, 4, 6, 7, 12, 50)]
+    for g in graphs:
+        layout, want = _layout(g), reference_layout(g)
+        for name, got, expected in zip(layout._fields, layout, want):
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            if name == "phase":
+                got, expected = got.view(np.uint64), expected.view(np.uint64)
+            assert np.array_equal(got, expected), name
 
 
 def test_shared_layout_arrays_are_read_only():
