@@ -57,8 +57,8 @@ class _Geometry:
     directed id ``d`` runs from ``ends.flat[d]`` to ``ends.flat[d ^ 1]``;
     ``out_ptr``/``out_ids`` list the directed ids leaving each vertex in
     ascending order (CSR).  The tuples behind the scalar accessors
-    (``points``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
-    first read.  ``violations`` is the validation verdict; ``layout`` belongs
+    (``vertices``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
+    first read, once for every graph that shares the record.  ``violations`` is the validation verdict; ``layout`` belongs
     to :mod:`kacward.transition` (step pattern, half-angle phases and the
     sparse layout of ``I - T``); both are filled on first use.
     """
@@ -68,7 +68,7 @@ class _Geometry:
         "ends",
         "out_ptr",
         "out_ids",
-        "points",
+        "vertices",
         "tails",
         "heads",
         "out",
@@ -91,7 +91,7 @@ class _Geometry:
 
     def __getattr__(self, name):
         # Reached only for a scalar view that has not been built yet.
-        if name == "points":
+        if name == "vertices":
             value = tuple(Point(x, y) for x, y in self.xy.tolist())
         elif name == "tails":
             value = tuple(self.ends.reshape(-1).tolist())
@@ -125,12 +125,32 @@ class EmbeddedGraph:
     ``Edge``.
     """
 
-    __slots__ = ("_geometry", "_weights", "_edges")
+    __slots__ = (
+        "_geometry",
+        "_weights",
+        "_edges",
+        "_vertices",
+        "_tails",
+        "_heads",
+        "_out",
+        "_degrees",
+    )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         xy = _coordinates(vertices)
         ends, weights = _edge_arrays(edges, len(xy))
         _fill(self, _Geometry(xy, ends), weights)
+
+    def __getattr__(self, name):
+        # Reached only for a scalar view this graph has not read yet: it is
+        # taken from the geometry record, which builds it once for every
+        # graph that shares the record, and kept in the graph's own slot so
+        # that the accessors below cost one lookup.
+        if name not in _SCALAR_VIEWS:
+            raise AttributeError(name)
+        value = getattr(self._geometry, name[1:])
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -139,7 +159,7 @@ class EmbeddedGraph:
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return self._geometry.points
+        return self._vertices
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -162,20 +182,20 @@ class EmbeddedGraph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return self._geometry.degrees
+        return self._degrees
 
     def degree(self, v: int) -> int:
-        return self._geometry.degrees[v]
+        return self._degrees[v]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Directed edge ids with tail ``v``, in ascending id order."""
-        return self._geometry.out[v]
+        return self._out[v]
 
     def tail(self, d: int) -> int:
-        return self._geometry.tails[d]
+        return self._tails[d]
 
     def head(self, d: int) -> int:
-        return self._geometry.heads[d]
+        return self._heads[d]
 
     def edge_weight(self, k: int) -> float:
         return self._weights[k].item()
@@ -186,9 +206,8 @@ class EmbeddedGraph:
 
     def direction(self, d: int) -> tuple[float, float]:
         """Displacement vector (head - tail) of directed edge ``d``."""
-        geometry = self._geometry
-        t = geometry.points[geometry.tails[d]]
-        h = geometry.points[geometry.heads[d]]
+        t = self._vertices[self._tails[d]]
+        h = self._vertices[self._heads[d]]
         return h.x - t.x, h.y - t.y
 
     def weights(self) -> tuple[float, ...]:
@@ -240,6 +259,9 @@ class EmbeddedGraph:
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph({self.num_vertices} vertices, {self.num_edges} edges)"
+
+
+_SCALAR_VIEWS = frozenset({"_vertices", "_tails", "_heads", "_out", "_degrees"})
 
 
 def _fill(g: EmbeddedGraph, geometry: _Geometry, weights: np.ndarray) -> EmbeddedGraph:
@@ -363,7 +385,7 @@ def _checked_ends(us: Sequence[int], vs: Sequence[int], weights: np.ndarray, n: 
     order = np.argsort(key, kind="stable")
     duplicate = np.zeros(len(key), dtype=bool)
     duplicate[order[1:][key[order[1:]] == key[order[:-1]]]] = True
-    flagged = np.flatnonzero(bad | duplicate)
+    flagged = (bad | duplicate).nonzero()[0]
     if len(flagged):
         k = int(flagged[0])
         (uk, vk), w = ends[k].tolist(), weights[k].item()
