@@ -613,7 +613,7 @@ def _candidates(pts, a, b, lo, hi, edge_count):
         # ``corner`` has bit 1 where the cell is in its item's first column
         # and bit 2 where it is in its item's first row.
         r0 = np.maximum(first_row, top)
-        count = width * (np.minimum(last_row, bottom - 1) - r0 + 1).clip(0)
+        count = width * np.maximum(np.minimum(last_row, bottom - 1) - r0 + 1, 0)
         item = items.repeat(count)
         offset = np.arange(len(item)) - (count.cumsum() - count).repeat(count)
         span = width.repeat(count)
@@ -630,9 +630,9 @@ def _candidates(pts, a, b, lo, hi, edge_count):
         for later, earlier in _pair_chunks(own, np.arange(len(at)) - own):
             keep = (corner[later] | corner[earlier]) == 3
             i, j = item[earlier[keep]], item[later[keep]]
-            keep = (lo.take(i, axis=1) <= hi.take(j, axis=1)).all(axis=0)
-            keep &= (lo.take(j, axis=1) <= hi.take(i, axis=1)).all(axis=0)
-            keep &= i < edge_count
+            below = lo.take(i, axis=1) <= hi.take(j, axis=1)
+            above = lo.take(j, axis=1) <= hi.take(i, axis=1)
+            keep = below[0] & below[1] & above[0] & above[1] & (i < edge_count)
             yield i[keep], j[keep]
 
 
@@ -669,7 +669,7 @@ def _conflicts(pts, a, b, lo, hi, edge_count, i, j):
         at = pts.take(points[touch], axis=1)
         inside = np.zeros(4 * n, dtype=bool)
         within = (lo.take(owner, axis=1) <= at) & (at <= hi.take(owner, axis=1))
-        inside[touch] = within.all(axis=0)
+        inside[touch] = within[0] & within[1]
         crossing |= inside.reshape(4, n).any(axis=0)
     # A vertex in an edge's box is on it when the three are collinear.  Edges
     # with a shared endpoint s overlap when they leave it collinear and the
@@ -682,7 +682,7 @@ def _conflicts(pts, a, b, lo, hi, edge_count, i, j):
         s = pts.take(np.where(a2_shared[k], a2[k], b2[k]), axis=1)
         p = pts.take(a1[k], axis=1) + pts.take(b1[k], axis=1) - s
         ahead = np.sign(p - s) == np.sign(pts.take(other[check], axis=1) - s)
-        meet[check] = ahead.all(axis=0)
+        meet[check] = ahead[0] & ahead[1]
     return (
         np.concatenate((i4[crossing], i[one][meet])),
         np.concatenate((j4[crossing], j[one][meet])),
@@ -709,7 +709,8 @@ def _validate_geometry(xy: np.ndarray, ends: np.ndarray) -> tuple[Violation, ...
     pts = np.ascontiguousarray(xy.T)
     u, v = ends[:, 0], ends[:, 1]
     pu, pv = pts.take(u, axis=1), pts.take(v, axis=1)
-    zero = (pu == pv).all(axis=0)
+    same = pu == pv
+    zero = same[0] & same[1]
     live = (~zero).nonzero()[0]
     violations = [Violation("zero_length", (k,)) for k in zero.nonzero()[0].tolist()]
     if not len(live):
