@@ -630,9 +630,11 @@ def _candidates(pts, a, b, lo, hi, edge_count):
         for later, earlier in _pair_chunks(own, np.arange(len(at)) - own):
             keep = (corner[later] | corner[earlier]) == 3
             i, j = item[earlier[keep]], item[later[keep]]
-            below = lo.take(i, axis=1) <= hi.take(j, axis=1)
-            above = lo.take(j, axis=1) <= hi.take(i, axis=1)
-            keep = below[0] & below[1] & above[0] & above[1] & (i < edge_count)
+            # The closed boxes overlap when each one's low corner is at most
+            # the other's high corner, on both axes.
+            i_low = lo.take(i, axis=1) <= hi.take(j, axis=1)
+            j_low = lo.take(j, axis=1) <= hi.take(i, axis=1)
+            keep = i_low[0] & i_low[1] & j_low[0] & j_low[1] & (i < edge_count)
             yield i[keep], j[keep]
 
 
