@@ -58,8 +58,9 @@ class _Geometry:
     ``out_ptr``/``out_ids`` list the directed ids leaving each vertex in
     ascending order (CSR).  The tuples behind the scalar accessors
     (``vertices``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
-    first read, once for every graph that shares the record.  ``violations`` is the validation verdict; ``layout`` belongs
-    to :mod:`kacward.transition` (step pattern, half-angle phases and the
+    first read, once for every graph that shares the record.
+    ``violations`` is the validation verdict; ``layout`` belongs to
+    :mod:`kacward.transition` (step pattern, half-angle phases and the
     sparse layout of ``I - T``); both are filled on first use.
     """
 
@@ -129,28 +130,12 @@ class EmbeddedGraph:
         "_geometry",
         "_weights",
         "_edges",
-        "_vertices",
-        "_tails",
-        "_heads",
-        "_out",
-        "_degrees",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         xy = _coordinates(vertices)
         ends, weights = _edge_arrays(edges, len(xy))
         _fill(self, _Geometry(xy, ends), weights)
-
-    def __getattr__(self, name):
-        # Reached only for a scalar view this graph has not read yet: it is
-        # taken from the geometry record, which builds it once for every
-        # graph that shares the record, and kept in the graph's own slot so
-        # that the accessors below cost one lookup.
-        if name not in _SCALAR_VIEWS:
-            raise AttributeError(name)
-        value = getattr(self._geometry, name[1:])
-        object.__setattr__(self, name, value)
-        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -159,7 +144,7 @@ class EmbeddedGraph:
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return self._vertices
+        return self._geometry.vertices
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -182,20 +167,20 @@ class EmbeddedGraph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return self._degrees
+        return self._geometry.degrees
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self._geometry.degrees[v]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Directed edge ids with tail ``v``, in ascending id order."""
-        return self._out[v]
+        return self._geometry.out[v]
 
     def tail(self, d: int) -> int:
-        return self._tails[d]
+        return self._geometry.tails[d]
 
     def head(self, d: int) -> int:
-        return self._heads[d]
+        return self._geometry.heads[d]
 
     def edge_weight(self, k: int) -> float:
         return self._weights[k].item()
@@ -206,8 +191,9 @@ class EmbeddedGraph:
 
     def direction(self, d: int) -> tuple[float, float]:
         """Displacement vector (head - tail) of directed edge ``d``."""
-        t = self._vertices[self._tails[d]]
-        h = self._vertices[self._heads[d]]
+        geometry = self._geometry
+        t = geometry.vertices[geometry.tails[d]]
+        h = geometry.vertices[geometry.heads[d]]
         return h.x - t.x, h.y - t.y
 
     def weights(self) -> tuple[float, ...]:
@@ -259,9 +245,6 @@ class EmbeddedGraph:
 
     def __repr__(self) -> str:
         return f"EmbeddedGraph({self.num_vertices} vertices, {self.num_edges} edges)"
-
-
-_SCALAR_VIEWS = frozenset({"_vertices", "_tails", "_heads", "_out", "_degrees"})
 
 
 def _fill(g: EmbeddedGraph, geometry: _Geometry, weights: np.ndarray) -> EmbeddedGraph:
@@ -545,7 +528,8 @@ def _grid(pts: np.ndarray, cells: int) -> tuple[np.ndarray, int, int]:
     whose span floats cannot cut gets one cell.
     """
     low = pts.min(axis=1)
-    extent = (pts.max(axis=1) - low).tolist()
+    with np.errstate(over="ignore"):
+        extent = (pts.max(axis=1) - low).tolist()
     shape = list(_grid_shape(cells, *extent))
     index = np.zeros(pts.shape, dtype=np.intp)
     for axis, n in enumerate(shape):
@@ -675,15 +659,18 @@ def _conflicts(pts, a, b, lo, hi, edge_count, i, j):
         crossing |= inside.reshape(4, n).any(axis=0)
     # A vertex in an edge's box is on it when the three are collinear.  Edges
     # with a shared endpoint s overlap when they leave it collinear and the
-    # same way: the other ends p and q have p - s and q - s of equal signs.
-    # A vertex never does so with its own edge, as q - s is zero there.
+    # same way: the other ends p and q have p - s and q - s of equal signs
+    # (a float difference has the sign of the exact one).  A vertex never
+    # does so with its own edge, as q - s is zero there.
     meet = o[4 * n :] == 0
     check = (meet & shared[one]).nonzero()[0]
     if len(check):
         k = one[check]
-        s = pts.take(np.where(a2_shared[k], a2[k], b2[k]), axis=1)
-        p = pts.take(a1[k], axis=1) + pts.take(b1[k], axis=1) - s
-        ahead = np.sign(p - s) == np.sign(pts.take(other[check], axis=1) - s)
+        si = np.where(a2_shared[k], a2[k], b2[k])
+        s = pts.take(si, axis=1)
+        p = pts.take(np.where(a1[k] == si, b1[k], a1[k]), axis=1)
+        with np.errstate(over="ignore"):
+            ahead = np.sign(p - s) == np.sign(pts.take(other[check], axis=1) - s)
         meet[check] = ahead[0] & ahead[1]
     return (
         np.concatenate((i4[crossing], i[one][meet])),
@@ -748,7 +735,6 @@ def _validate_geometry(xy: np.ndarray, ends: np.ndarray) -> tuple[Violation, ...
         for k, w in zip(i[~pair].tolist(), (j[~pair] - edge_count).tolist())
     )
     return tuple(violations)
-
 
 
 def validate_embedding(g: EmbeddedGraph) -> ValidationReport:

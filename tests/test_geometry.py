@@ -220,6 +220,52 @@ def test_grid_matches_reference_on_crossing_soup():
         _assert_same_as_reference(*soup)
 
 
+def _ulp_run(x: float, count: int) -> list[float]:
+    """``x`` and the ``count - 1`` floats after it."""
+    run = [x]
+    for _ in range(count - 1):
+        run.append(math.nextafter(run[-1], math.inf))
+    return run
+
+
+# Coordinates one ulp apart, where sums and differences round, overflow or
+# underflow: near 1, near the top of the float range on both sides, and
+# among subnormals.
+ULP_POOLS = (
+    _ulp_run(1.0, 4) + _ulp_run(-1.0, 3) + [0.0, 2.0],
+    _ulp_run(1.5e308, 3) + _ulp_run(-1.5e308, 3) + [1.7e308, -1.7e308, 0.0],
+    _ulp_run(1.4e308, 2) + _ulp_run(1.6e308, 2) + [1.5e308],
+    [5e-324, -5e-324, 1e-308, 2.2e-308, 0.0, 1e-300, -1e-300],
+)
+
+
+@st.composite
+def ulp_graphs(draw):
+    """Up to 8 points drawn from one ``ULP_POOLS`` pool, often on the diagonal."""
+    pool = draw(st.sampled_from(ULP_POOLS))
+    n = draw(st.integers(2, 8))
+    coordinate = st.sampled_from(pool)
+    if draw(st.booleans()):
+        pts = [(c, c) for c in draw(st.lists(coordinate, min_size=n, max_size=n))]
+    else:
+        pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=12,
+            unique_by=lambda e: (min(e), max(e)),
+        )
+    )
+    return pts, pairs
+
+
+@PROPERTY
+@given(ulp_graphs())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_grid_matches_reference_on_coordinates_one_ulp_apart(graph_):
+    _assert_same_as_reference(*graph_, "identity")
+
+
 # -- the pair arrays are built in bounded chunks -------------------------------------
 
 
@@ -333,6 +379,49 @@ def test_overlap_is_reported_where_float_products_underflow():
     assert validate_embedding(g).violations == (
         Violation("crossing", (0, 1)),
         Violation("vertex_on_edge", (1,), vertex=1),
+    )
+
+
+def _check_against_reference(vertices, endpoints, expected):
+    vertices = tuple(Point(*p) for p in vertices)
+    assert reference_violations(vertices, endpoints) == expected
+    assert _validate_geometry(*_arrays(vertices, endpoints)) == expected
+
+
+def test_edge_one_ulp_long_is_accepted():
+    # The far end of the edge from its own endpoint is one ulp away.
+    _check_against_reference([(1.0, 0.0), (math.nextafter(1.0, 2.0), 0.0)], [(0, 1)], ())
+
+
+def test_overlap_of_edges_one_ulp_apart_is_reported():
+    x1 = math.nextafter(1.0, 2.0)
+    x2 = math.nextafter(x1, 2.0)
+    _check_against_reference(
+        [(1.0, 0.0), (x1, 0.0), (x2, 0.0)],
+        [(0, 1), (0, 2)],
+        (Violation("crossing", (0, 1)), Violation("vertex_on_edge", (1,), vertex=1)),
+    )
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overlap_near_the_float_limit_is_reported(sign):
+    # From the shared vertex 0 both edges run towards the origin, so the sum
+    # of the ends of either edge overflows.
+    far = [(sign * c, sign * c) for c in (1.6e308, 1.5e308, 1.4e308)]
+    _check_against_reference(
+        far,
+        [(0, 1), (2, 0)],
+        (Violation("crossing", (0, 1)), Violation("vertex_on_edge", (1,), vertex=1)),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_drawing_wider_than_the_float_range():
+    # The bounding box's extent overflows to inf on both axes.
+    _check_against_reference(
+        [(-1.5e308, -1.5e308), (1.5e308, 1.5e308), (-1.5e308, 1.5e308), (1.5e308, -1.5e308)],
+        [(0, 1), (2, 3)],
+        (Violation("crossing", (0, 1)),),
     )
 
 
