@@ -60,8 +60,9 @@ class _Geometry:
     (``vertices``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
     first read, once for every graph that shares the record.
     ``violations`` is the validation verdict; ``layout`` belongs to
-    :mod:`kacward.transition` (step pattern, half-angle phases and the
-    sparse layout of ``I - T``); both are filled on first use.
+    :mod:`kacward.transition` (step pattern, turning angles, their
+    half-angle phases and the sparse layout of ``I - T``); both are filled
+    on first use.
     """
 
     __slots__ = (
@@ -405,21 +406,30 @@ def connected_components(g: EmbeddedGraph) -> int:
 # -- turning angles ------------------------------------------------------
 
 
-def turning_angle(g: EmbeddedGraph, e: int, f: int) -> float:
-    """Signed angle in (-pi, pi] between directed edges ``e`` and ``f``.
+def _turning_angles(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Signed angles in (-pi, pi] from the directions in the rows of ``e`` to
+    those in the rows of ``f``, the one formula for every turning angle.
 
     Computed from the cross and dot products of the two direction vectors;
     an exact -pi (direct reversal) is mapped to +pi to honor the half-open
-    interval.
+    interval.  A zero vector gets 0 or pi, not an error.
     """
-    ex, ey = g.direction(e)
-    fx, fy = g.direction(f)
-    if (ex == 0.0 and ey == 0.0) or (fx == 0.0 and fy == 0.0):
+    ex, ey, fx, fy = e[:, 0], e[:, 1], f[:, 0], f[:, 1]
+    angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
+    angle[angle == -math.pi] = math.pi
+    return angle
+
+
+def turning_angle(g: EmbeddedGraph, e: int, f: int) -> float:
+    """Signed angle in (-pi, pi] between directed edges ``e`` and ``f``.
+
+    The same numpy computation as the transition layout's angles, on one
+    step, so the two agree bit for bit.
+    """
+    de, df = g.direction(e), g.direction(f)
+    if de == (0.0, 0.0) or df == (0.0, 0.0):
         raise ValueError("turning angle undefined for a zero-length edge")
-    ang = math.atan2(ex * fy - ey * fx, ex * fx + ey * fy)
-    if ang == -math.pi:
-        return math.pi
-    return ang
+    return _turning_angles(np.array((de,)), np.array((df,))).item()
 
 
 # -- embedding validation ------------------------------------------------

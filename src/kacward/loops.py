@@ -11,22 +11,23 @@ its steps, which factors as ``exp(i * turning_sum / 2) * edge_product`` with
 the product of traversed edge weights.  The final entry of the sequence is
 not traversed, so its weight and no further angle enter the product.
 
-Enumeration: one level-wise walk enumerator, ``_levels``, reads a step table
-built from the graph beforehand: for each directed edge d, its
-non-backtracking continuations f with ``turning_angle(g, d, f)``, and the
-weight x_d, held as CSR arrays.  It builds the walks one length at a time in
-numpy arrays; each walk stores its parent's index, its last step, its root,
-its turning sum and its edge product, and weighs its parent's sums plus one
-step, in walk order, so the weights are the same floats that ``walk_weight``
-returns.  Every level is in lexicographic order, and a lexsort of the levels
-recovers the depth-first order.  ``_groups`` bounds the memory: it hands the
-walks out in consecutive groups of subtrees, each counted from the table
-before it is built.  Weighed loops are one dict, steps -> (weight, edge
-product), in lexicographic order, with no ``Loop`` object per loop.  The
-enumerators that ignore weights build the table without angles, so they also
-run on graphs with zero-length edges; ``verify_generic_cancellation`` leaves
-out the steps on edges no loop uses (trees hanging off the graph), so it
-computes no angle off the loops.
+Enumeration: one level-wise walk enumerator, ``_levels``, reads the steps of
+the transition layout (``transition._layout``): for each directed edge d, its
+non-backtracking continuations f with their turning angles, and the weight
+x_d, held as CSR arrays (``_csr``).  It builds the walks one length at a time
+in numpy arrays; each walk stores its parent's index, its last step, its
+root, its turning sum and its edge product, and weighs its parent's sums plus
+one step, in walk order, so the weights are the same floats that
+``walk_weight`` returns.  Every level is in lexicographic order, and a
+lexsort of the levels recovers the depth-first order.  ``_groups`` bounds the
+memory: it hands the walks out in consecutive groups of subtrees, each
+counted from the steps before it is built.  Weighed loops are one dict,
+steps -> (weight, edge product), in lexicographic order, with no ``Loop``
+object per loop.  The layout's angles raise on no drawing (a zero-length
+edge gets 0 or pi), so the enumerators that ignore weights run on graphs
+with zero-length edges too; ``verify_generic_cancellation`` leaves out
+the steps on edges no loop uses (trees hanging off the graph), and refuses a
+zero-length edge only on a loop.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .graph import EmbeddedGraph, turning_angle
-from .transition import _contraction, build_transition_matrix, check_convergence_radius
+from .transition import _contraction, _layout, build_transition_matrix, check_convergence_radius
 
 MAX_LOOP_LEN_CAP = 16
 
@@ -212,14 +213,6 @@ def _check_len_cap(max_len: int) -> None:
         )
 
 
-class _StepTable(NamedTuple):
-    """``turns[d]``: {f: turning_angle(g, d, f)} over the non-backtracking
-    continuations f of directed edge d, in ascending id order; ``x[d]``: x_d."""
-
-    turns: list[dict[int, float]]
-    x: list[float]
-
-
 def _on_loops(g: EmbeddedGraph) -> list[bool]:
     """``on[d]``: some loop steps along directed edge ``d``.
 
@@ -243,32 +236,15 @@ def _on_loops(g: EmbeddedGraph) -> list[bool]:
     return [goes_on[d] and goes_on[d ^ 1] for d in range(g.num_directed)]
 
 
-def _step_table(g: EmbeddedGraph, weigh: bool, loops_only: bool = False) -> _StepTable:
-    """The step table of ``g``; without ``weigh`` every angle is 0.0 and none is
-    computed.  With ``loops_only`` every step from or onto an edge no loop uses
-    is left out: the loops stay the same, and no angle off the loops is
-    computed."""
-    on = _on_loops(g) if loops_only else [True] * g.num_directed
-    turns = [
-        {
-            f: turning_angle(g, d, f) if weigh else 0.0
-            for f in g.out_edges(g.head(d))
-            if f != (d ^ 1) and on[d] and on[f]
-        }
-        for d in range(g.num_directed)
-    ]
-    return _StepTable(turns, [g.directed_weight(d) for d in range(g.num_directed)])
-
-
 # Walks materialised at once by ``_groups``; bounds the enumerator's memory.
 _GROUP_CAP = 1 << 14
 
 
 class _Csr(NamedTuple):
-    """The step table as arrays: directed edge d continues along the entries
-    ``start[d]:start[d + 1]``, onto ``succ`` (ascending) with turning angle
-    ``angle``; ``src`` is the edge each entry continues, ``key`` is
-    ``src * len(x) + succ`` (ascending), ``x[d]`` is x_d."""
+    """The steps as the walk enumerator reads them: directed edge d continues
+    along the entries ``start[d]:start[d + 1]``, onto ``succ`` (ascending)
+    with turning angle ``angle``; ``src`` is the edge each entry continues,
+    ``key`` is ``src * len(x) + succ`` (ascending), ``x[d]`` is x_d."""
 
     start: np.ndarray
     src: np.ndarray
@@ -278,22 +254,25 @@ class _Csr(NamedTuple):
     x: np.ndarray
 
 
-def _csr(table: _StepTable) -> _Csr:
-    degree = [len(turns) for turns in table.turns]
-    src = np.repeat(np.arange(len(degree)), degree)
-    succ = np.array([f for turns in table.turns for f in turns], dtype=np.intp)
-    return _Csr(
-        np.concatenate(([0], np.cumsum(degree, dtype=np.intp))),
-        src,
-        succ,
-        src * len(degree) + succ,
-        np.array([a for turns in table.turns for a in turns.values()], dtype=np.float64),
-        np.array(table.x, dtype=np.float64),
-    )
+def _csr(g: EmbeddedGraph, loops_only: bool = False) -> _Csr:
+    """The steps of ``g``: the transition layout's ``rows``, ``cols`` and
+    ``angle`` arrays themselves, and ``g``'s weights.  With ``loops_only``
+    every step from or onto an edge no loop uses is left out; the loops stay
+    the same."""
+    layout = _layout(g)
+    src, succ, angle = layout.rows, layout.cols, layout.angle
+    if loops_only:
+        on = np.array(_on_loops(g), dtype=bool)
+        keep = on[src] & on[succ]
+        src, succ, angle = src[keep], succ[keep], angle[keep]
+    n = g.num_directed
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    return _Csr(start, src, succ, src * n + succ, angle, np.repeat(g._weights, 2))
 
 
 def _entries(csr: _Csr, d: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The entries of the steps ``d[i] -> f[i]``; each must be in the table."""
+    """The entries of the steps ``d[i] -> f[i]``; each must be in ``csr``."""
     return np.searchsorted(csr.key, d * len(csr.x) + f)
 
 
@@ -373,7 +352,7 @@ Group = tuple[np.ndarray, list[_Level]]
 def _groups(csr: _Csr, roots: Iterable[int], depth: int) -> Iterator[Group]:
     """The walks of length 0..depth from ``roots`` (ascending), as consecutive
     groups in lexicographic order, each the prefix rows and ``_levels`` of
-    their extensions.  Each group's walk count is counted from the table
+    their extensions.  Each group's walk count is counted from the steps
     before it is enumerated and stays within ``_GROUP_CAP``: a group is
     consecutive subtrees while they fit, and a subtree too large alone is its
     first walk alone, then the groups of its children's subtrees."""
@@ -446,9 +425,9 @@ def _in_order(picked: Picked) -> tuple[list[tuple[int, ...]], np.ndarray]:
 
 def _all_walks(g: EmbeddedGraph, max_len: int, root: int | None, keep) -> list[tuple[int, ...]]:
     """The step tuples of the walks up to ``max_len`` from ``root`` (or from
-    every edge) that ``keep`` marks, in lexicographic order; no angles."""
+    every edge) that ``keep`` marks, in lexicographic order."""
     roots = range(g.num_directed) if root is None else (root,)
-    csr = _csr(_step_table(g, weigh=False))
+    csr = _csr(g)
     walks = []
     for group in _groups(csr, roots, max(max_len, 0)):
         walks += _in_order(_pick(group, keep))[0]
@@ -582,12 +561,11 @@ def _add_loops(weighed: Weighed, loops: Picked) -> None:
     weighed.update(zip(keys, [(_value(a, b), b) for a, b in zip(t, p)]))
 
 
-def _weighed_loops(table: _StepTable, max_len: int) -> Weighed:
+def _weighed_loops(csr: _Csr, max_len: int) -> Weighed:
     """steps -> (weight, edge product) of the loops of length 2..max_len, in
     lexicographic order."""
     weighed: Weighed = {}
-    csr = _csr(table)
-    for group in _groups(csr, range(len(table.x)), max_len):
+    for group in _groups(csr, range(len(csr.x)), max_len):
         _add_loops(weighed, _pick(group, _loops_up_to(max_len)))
     return weighed
 
@@ -627,11 +605,17 @@ def verify_generic_cancellation(
     Both sides are truncated at loop length ``max_n``; the report carries the
     truncation bound C * rho^(max_n+1) / (1 - rho) with rho the branching
     contraction (max_degree - 1) * max|x| and C = 2|E| * max(1, max|x|),
-    a deliberately crude rooted-loop count.
+    a deliberately crude rooted-loop count.  ``g`` need not be a valid
+    drawing, but a zero-length edge on a loop, which has no turning angle,
+    raises ValueError.
     """
     _check_len_cap(max_n)
     if not 0 <= e < g.num_directed:
         raise ValueError(f"directed edge {e} out of range")
     _require_convergence(g)
-    weighed = _weighed_loops(_step_table(g, weigh=True, loops_only=True), max_n)
-    return _generic_scan(g, weighed, max_n)[e]
+    csr = _csr(g, loops_only=True)
+    u, v = g._geometry.ends[csr.src >> 1].T  # every edge that a loop uses
+    xy = g._geometry.xy
+    if (xy[u] == xy[v]).all(axis=1).any():
+        raise ValueError("turning angle undefined for a zero-length edge on a loop")
+    return _generic_scan(g, _weighed_loops(csr, max_n), max_n)[e]

@@ -8,8 +8,9 @@ even-subgraph generating function, which is how ``partition_function_kw``
 evaluates it.  ``I - transition`` is factored once per query by a sparse LU
 with a fill-reducing column ordering (SuperLU, COLAMD).
 
-Only the moduli ``x_e`` depend on the weights; the step pattern, the phases
-and the sparse layout of ``I - transition`` depend on the drawing alone.
+Only the moduli ``x_e`` depend on the weights; the step pattern, the turning
+angles, their phases and the sparse layout of ``I - transition`` depend on
+the drawing alone.
 They are computed once per geometry record, which ``with_weights`` copies
 share, so a beta sweep pays per query only for the weights, one gather, one
 product and the factorization.
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .graph import EmbeddedGraph, max_degree, require_valid_embedding
+from .graph import EmbeddedGraph, _turning_angles, max_degree, require_valid_embedding
 
 # exp(709) is the last finite double; past this the linear determinant overflows.
 _LOG_OVERFLOW = 709.0
@@ -80,15 +81,18 @@ def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
 class _Layout(NamedTuple):
     """What the transition matrix and ``I - T`` take from the drawing alone.
 
-    ``rows``/``cols`` list the non-backtracking steps and ``phase`` their
-    ``exp(i * angle / 2)``; ``indptr``/``indices`` are the CSC pattern of
-    ``I - T``, whose data is ``concatenate((ones, -values))[order]``: the
-    order in which scipy's COO to CSC conversion (sorted by column, then by
-    row) places the identity's diagonal followed by the steps.
+    ``rows``/``cols`` list the non-backtracking steps, ``angle`` their turning
+    angles and ``phase`` their ``exp(i * angle / 2)``; ``indptr``/``indices``
+    are the CSC pattern of ``I - T``, whose data is
+    ``concatenate((ones, -values))[order]``: the order in which scipy's COO to
+    CSC conversion (sorted by column, then by row) places the identity's
+    diagonal followed by the steps.  The walk enumerator of
+    :mod:`kacward.loops` reads the same steps and angles.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    angle: np.ndarray
     phase: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -100,8 +104,9 @@ def _layout(g: EmbeddedGraph) -> _Layout:
 
     Row ``d`` of the steps lists the out-edges of ``d``'s head in ascending
     id order, less the reversal ``d ^ 1``, gathered from the out-edge CSR;
-    the turning angles come from the coordinate array, with
-    ``turning_angle``'s formula.
+    the turning angles come from the coordinate array, with the formula that
+    ``turning_angle`` applies to one step.  The drawing need not be valid: a
+    zero-length edge gets an angle of 0 or pi, not an error.
     """
     geometry = g._geometry
     if geometry.layout is not None:
@@ -117,17 +122,14 @@ def _layout(g: EmbeddedGraph) -> _Layout:
     forward = cols != (rows ^ 1)
     rows, cols = rows[forward], cols[forward]
     step = geometry.xy[heads] - geometry.xy[tails]
-    ex, ey = step[rows, 0], step[rows, 1]
-    fx, fy = step[cols, 0], step[cols, 1]
-    angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
-    angle[angle == -math.pi] = math.pi  # the turning angle lies in (-pi, pi]
+    angle = _turning_angles(step[rows], step[cols])
     diag = np.arange(n)
     all_rows = np.concatenate((diag, rows))
     all_cols = np.concatenate((diag, cols))
     order = np.lexsort((all_rows, all_cols))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
-    arrays = (rows, cols, np.exp(0.5j * angle), indptr, all_rows[order], order)
+    arrays = (rows, cols, angle, np.exp(0.5j * angle), indptr, all_rows[order], order)
     for a in arrays:  # shared by every graph with this geometry
         a.flags.writeable = False
     geometry.layout = _Layout(*arrays)

@@ -26,8 +26,6 @@ from .loops import (
     _groups,
     _loops_up_to,
     _pick,
-    _step_table,
-    _StepTable,
     _steps,
     _traces,
     _weigh_steps,
@@ -54,10 +52,12 @@ def _fmt(x: float) -> str:
 
 
 def _check_kw_vs_oracle(tm: np.ndarray, z: float, corrupt: bool) -> CheckResult:
-    if corrupt and np.any(tm):
-        tm = tm.copy()
-        tm.flat[np.flatnonzero(tm)[0]] *= 1.01  # deliberate fault for testing
-    det = complex(np.linalg.det(np.eye(tm.shape[0], dtype=complex) - tm))
+    a = np.eye(tm.shape[0], dtype=complex) - tm
+    if corrupt and len(a):
+        # Deliberate fault for testing: scaling a row scales det(I - T) by
+        # 1.01, so it shows wherever Z is not 0, a forest's nilpotent T too.
+        a[0] *= 1.01
+    det = complex(np.linalg.det(a))
     diff = abs(det - z * z)
     tol = 1e-9 * max(1.0, z * z)
     return CheckResult(
@@ -95,8 +95,8 @@ def _first_walk_failure(
     ``expect[:, c]`` holds split k = max(0, n - half) + c: the head's weight
     times the steps after it, each walk's the parent's times its last step.
     Walks from an edge to its reversal up to ``max_len`` are purely imaginary
-    and reversal-antisymmetric; the reversal is weighed from the step table
-    in its own walk order."""
+    and reversal-antisymmetric; the reversal is weighed from ``csr`` in its
+    own walk order."""
     prefix, levels = group
     j = prefix.shape[1] - 1
     failures = []  # (walk, 0 for a split or 1 for its reversal pair, message)
@@ -146,7 +146,7 @@ def _first_walk_failure(
 def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | None:
     """The first failure of the loop checks among ``loops``, in lexicographic
     order: loops are real and reversal-symmetric, the reversal weighed from
-    the step table; self-avoiding loops weigh minus their edge product.
+    ``csr``; self-avoiding loops weigh minus their edge product.
     ``ends_of[d]`` is (tail, head) of directed edge d."""
     failures = []
     for steps, t, p in loops:
@@ -173,7 +173,7 @@ def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | 
 
 
 def _check_weight_properties(
-    g: EmbeddedGraph, max_len: int, table: _StepTable
+    g: EmbeddedGraph, max_len: int, csr: _Csr
 ) -> tuple[CheckResult, Weighed]:
     """The check, and the rooted loops up to ``max_len`` that its walk pass
     weighs, in lexicographic order.
@@ -184,10 +184,10 @@ def _check_weight_properties(
     reported (the walk checks before the loop checks).  After a failure the
     pass stops checking and keeps collecting, so the other loop checks see
     every loop."""
-    csr = _csr(table)
     half = max(max_len // 2, 1)
     step = np.exp(0.5j * csr.angle) * csr.x[csr.src]
-    ends_of = np.array([(g.tail(d), g.head(d)) for d in range(g.num_directed)], dtype=np.intp)
+    ends = g._geometry.ends
+    ends_of = np.stack((ends, ends[:, ::-1]), axis=1).reshape(-1, 2)
     loops: Weighed = {}
     walk_failure = loop_failure = None
     for group in _groups(csr, range(g.num_directed), max(max_len, 2 * half)):
@@ -303,9 +303,10 @@ def run_suite(
     ``g`` is validated once, first, so an invalid drawing is refused before
     anything else; the decorated graph is validated once more where it is
     built.  The transition matrix and the oracle's Z are computed once and
-    shared.  Every walk weight comes from one step table, as the walk
-    enumerator reaches the walk; weight-properties' one pass over the walks
-    also collects the weighed rooted loops that the other loop checks read.
+    shared.  Every walk weight comes from the transition layout's steps and
+    turning angles, as the walk enumerator reaches the walk; weight-properties'
+    one pass over the walks also collects the weighed rooted loops that the
+    other loop checks read.
     A length over ``MAX_LOOP_LEN_CAP`` raises ValueError before any work.
     """
     require_valid_embedding(g)
@@ -313,8 +314,7 @@ def run_suite(
     tm = _transition_matrix(g).entries
     z = partition_function_oracle(g)
     kw = _check_kw_vs_oracle(tm, z, corrupt_transition)
-    table = _step_table(g, weigh=True)
-    weight_properties, weighed = _check_weight_properties(g, max_len, table)
+    weight_properties, weighed = _check_weight_properties(g, max_len, _csr(g))
     return [
         kw,
         weight_properties,

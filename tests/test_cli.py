@@ -25,7 +25,7 @@ from kacward import (
     partition_function_oracle,
 )
 from kacward.cli import main
-from conftest import make_bowtie, make_path3, make_triangle, make_wheel
+from conftest import make_bowtie, make_path3, make_single_edge, make_triangle, make_wheel
 
 
 def run(capsys, *argv):
@@ -433,6 +433,24 @@ def test_verify_corrupted_transition_fails(capsys, triangle_file):
     assert err.startswith("kacward: error[verify]: kw-vs-oracle")
 
 
+@pytest.mark.parametrize(
+    "make", [make_single_edge, make_path3, make_bowtie], ids=["single-edge", "path", "bowtie"]
+)
+def test_verify_corrupted_transition_fails_on_every_graph(capsys, tmp_path, make):
+    # A forest's T is nilpotent, so det(I - T) = 1 whatever its entries; the
+    # fault must change the determinant all the same.
+    path = tmp_path / "graph.json"
+    dump_graph(make(), path)
+    code, out, err = run(capsys, "verify", str(path), "--max-loop-len", "4")
+    assert (code, err) == (0, "")
+    code, out, err = run(
+        capsys, "verify", str(path), "--corrupt-transition", "--max-loop-len", "4"
+    )
+    assert code == 5
+    assert "kw-vs-oracle" in out and "FAIL" in out
+    assert err.startswith("kacward: error[verify]: kw-vs-oracle")
+
+
 def test_verify_env_var_sets_default_length(capsys, triangle_file, monkeypatch):
     monkeypatch.setenv("KACWARD_MAX_LOOP_LEN", "6")
     code, out, _ = run(capsys, "verify", triangle_file)
@@ -487,7 +505,7 @@ def test_verify_refuses_a_cycle_space_over_the_oracle_cap(capsys, tmp_path, monk
     def unreachable(*args, **kwargs):
         raise AssertionError("walk enumeration started")
 
-    monkeypatch.setattr(kacward.verify, "_step_table", unreachable)
+    monkeypatch.setattr(kacward.verify, "_csr", unreachable)
     path = tmp_path / "square.json"
     dump_graph(gen_square(6, 6, 0.3), path)
     code, out, err = run(capsys, "verify", str(path))

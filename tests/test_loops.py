@@ -311,11 +311,10 @@ def test_enumerators_reject_bad_roots():
     assert enumerate_rooted_loops(g, 2) == []
 
 
-def prefix_weight_mismatches(g, max_len, table):
+def prefix_weight_mismatches(g, max_len, csr):
     """Walks up to ``max_len`` whose weight from the walk enumerator differs in any
     bit from ``walk_weight``."""
     bad = []
-    csr = loops._csr(table)
     for group in loops._groups(csr, range(g.num_directed), max_len):
         for steps, turnings, products in loops._pick(group, loops._every_walk):
             for seq, turning, product in zip(steps.tolist(), turnings.tolist(), products.tolist()):
@@ -337,18 +336,18 @@ def budgeted_lengths(corpus):
 def test_prefix_weights_equal_walk_weight_bit_for_bit(corpus):
     walks = 0
     for g, max_len in budgeted_lengths(corpus):
-        assert prefix_weight_mismatches(g, max_len, loops._step_table(g, weigh=True)) == []
+        assert prefix_weight_mismatches(g, max_len, loops._csr(g)) == []
         walks += walk_counts(g, max_len)[max_len]
     assert walks > 100_000
 
 
 def test_one_changed_angle_breaks_the_prefix_weights():
     g = make_bowtie(0.25)
-    for d, turns in enumerate(loops._step_table(g, weigh=True).turns):
-        for f, angle in turns.items():
-            table = loops._step_table(g, weigh=True)
-            table.turns[d][f] = math.nextafter(angle, math.inf)
-            assert (d, f) in prefix_weight_mismatches(g, 3, table)
+    csr = loops._csr(g)
+    for k, (d, f) in enumerate(zip(csr.src.tolist(), csr.succ.tolist())):
+        angle = csr.angle.copy()
+        angle[k] = math.nextafter(angle[k], math.inf)
+        assert (d, f) in prefix_weight_mismatches(g, 3, csr._replace(angle=angle))
 
 
 def test_enumerators_skip_angles_on_a_zero_length_edge():

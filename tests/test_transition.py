@@ -26,6 +26,7 @@ from kacward import (
     turning_angle,
     uniform_ising,
 )
+from kacward import loops
 from kacward.lattices import IsingInstance
 from kacward.transition import _layout, _parity, _sparse_slogdet
 from conftest import (
@@ -398,7 +399,7 @@ def test_reweighted_copies_are_bit_identical_to_fresh_graphs(g):
 
 
 def reference_layout(g: EmbeddedGraph):
-    """The six ``_Layout`` arrays, with the steps found one directed edge at a time."""
+    """The seven ``_Layout`` arrays, with the steps found one directed edge at a time."""
     n = g.num_directed
     rows, cols = [], []
     for d in range(n):
@@ -419,16 +420,20 @@ def reference_layout(g: EmbeddedGraph):
     order = np.lexsort((all_rows, all_cols))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
-    return rows, cols, np.exp(0.5j * angle), indptr, all_rows[order], order
+    return rows, cols, angle, np.exp(0.5j * angle), indptr, all_rows[order], order
+
+
+# The four strips of the lattice-cold benchmark workload.
+LATTICE_COLD_STRIPS = (
+    gen_square(9, 22, 0.5),
+    gen_square(11, 18, 0.5),
+    gen_hex(38, 3, 0.5),
+    gen_hex(30, 4, 0.5),
+)
 
 
 def test_layout_is_bit_identical_to_the_per_step_loop(corpus):
-    graphs = corpus + [
-        gen_square(1, 1, 0.5),
-        gen_square(9, 22, 0.5),
-        gen_square(11, 18, 0.5),
-        gen_hex(38, 3, 0.5),
-        gen_hex(30, 4, 0.5),
+    graphs = corpus + [gen_square(1, 1, 0.5), *LATTICE_COLD_STRIPS] + [
         make_single_edge(),
         make_path3(),
         EmbeddedGraph([(0.0, 0.0), (1.0, 0.0)], []),
@@ -438,9 +443,35 @@ def test_layout_is_bit_identical_to_the_per_step_loop(corpus):
         layout, want = _layout(g), reference_layout(g)
         for name, got, expected in zip(layout._fields, layout, want):
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
-            if name == "phase":
+            if name in ("angle", "phase"):
                 got, expected = got.view(np.uint64), expected.view(np.uint64)
             assert np.array_equal(got, expected), name
+
+
+def test_turning_angle_is_the_layouts_angle_bit_for_bit(corpus):
+    # One formula: turning_angle on one step runs the computation that fills
+    # the layout, so the walk_weight reference and the walk enumerator add
+    # the same floats.  The strips also run shifted off the origin, as the
+    # benchmark draws them, which changes the rounding of every direction.
+    shifted = [
+        EmbeddedGraph([(p.x + 417.0, p.y + 861.0) for p in g.vertices], g.edges)
+        for g in LATTICE_COLD_STRIPS
+    ]
+    graphs = corpus + list(LATTICE_COLD_STRIPS) + shifted + [
+        make_wheel(k) for k in range(3, 51)
+    ]
+    steps = 0
+    for g in graphs:
+        layout = _layout(g)
+        csr = loops._csr(g)
+        assert csr.src is layout.rows and csr.succ is layout.cols and csr.angle is layout.angle
+        one_at_a_time = np.array(
+            [turning_angle(g, d, f) for d, f in zip(layout.rows.tolist(), layout.cols.tolist())],
+            dtype=np.float64,
+        ).reshape(-1)
+        assert np.array_equal(one_at_a_time.view(np.uint64), layout.angle.view(np.uint64))
+        steps += len(layout.angle)
+    assert steps > 70_000
 
 
 def test_shared_layout_arrays_are_read_only():

@@ -1,6 +1,6 @@
-"""The check suite behind ``kacward verify``: one step table, one walk pass that
-also collects the weighed loops the other checks share, and a FAIL with its
-counterexample from each loop check when one loop weight is off."""
+"""The check suite behind ``kacward verify``: the transition layout's steps, one
+walk pass that also collects the weighed loops the other checks share, and a
+FAIL with its counterexample from each loop check when one loop weight is off."""
 
 import cmath
 import dataclasses
@@ -148,8 +148,8 @@ def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch)
 
 
 def test_suite_builds_the_transition_matrix_and_the_oracle_once(monkeypatch):
-    # kw-vs-oracle and trace-identity share one T, and kw-vs-oracle corrupts a
-    # copy of it; kw-vs-oracle and decoration share the oracle's Z of g.
+    # kw-vs-oracle and trace-identity share one T, and kw-vs-oracle corrupts
+    # its own I - T; kw-vs-oracle and decoration share the oracle's Z of g.
     g = make_bowtie(0.25)
     builds = count_calls(monkeypatch, verify, "_transition_matrix")
     oracles = count_calls(monkeypatch, verify, "partition_function_oracle")
@@ -211,8 +211,8 @@ def count_calls(monkeypatch, module, name):
 
 def test_suite_weighs_each_walk_once(monkeypatch):
     # Weights come from the walk enumerator as it reaches each walk, and the
-    # reversals of the reversal-pair walks and of the loops from the step
-    # table; no walk is weighed by ``walk_weight``.  The one pass that
+    # reversals of the reversal-pair walks and of the loops from the same
+    # steps; no walk is weighed by ``walk_weight``.  The one pass that
     # compares the walks also collects the loops.
     g = make_bowtie(0.25)
     walks = enumerate_walks(g, 10)
@@ -244,14 +244,14 @@ def test_one_walk_pass_and_one_generic_scan_per_suite(monkeypatch):
     assert not hasattr(verify, "_levels")
     levels = count_calls(monkeypatch, loops, "_levels")
     passes = count_calls(monkeypatch, verify, "_groups")
-    tables = count_calls(monkeypatch, verify, "_step_table")
+    csrs = count_calls(monkeypatch, verify, "_csr")
     scans = count_calls(monkeypatch, verify, "_generic_scan")
     results = run_suite(make_bowtie(0.25), 9)
     assert [r.status for r in results] == ["pass"] * 6
     assert [(list(args[1]), args[2]) for args in passes] == [(list(range(12)), 9)]
     assert [(args[1].tolist(), args[2]) for args in levels] == [([[d] for d in range(12)], 9)]
     assert levels[0][0] is passes[0][0]
-    assert (len(tables), len(scans)) == (1, 1)
+    assert (len(csrs), len(scans)) == (1, 1)
 
 
 # Reference checks: the former weight-properties (every composable pair of
@@ -337,8 +337,8 @@ def as_dict(weighed):
     return {l.steps: (ww.value, ww.edge_product) for l, ww in weighed}
 
 
-def step_table(g):
-    return loops._step_table(g, weigh=True)
+def step_csr(g):
+    return loops._csr(g)
 
 
 def budgeted_cases(corpus):
@@ -365,7 +365,7 @@ def test_weight_properties_match_the_pair_loop_reference(corpus):
     cases = 0
     for g, max_len in budgeted_cases(corpus):
         weighed = weighed_loops(g, max_len, memo_weight)
-        new, collected = verify._check_weight_properties(g, max_len, step_table(g))
+        new, collected = verify._check_weight_properties(g, max_len, step_csr(g))
         assert new == reference_weight_properties(g, max_len, weighed, memo_weight)
         assert list(collected.items()) == list(as_dict(weighed).items())
         cases += 1
@@ -386,15 +386,15 @@ def test_suite_refuses_a_length_over_the_cap(monkeypatch):
         raise AssertionError("work started before the length cap was checked")
 
     monkeypatch.setattr(verify, "_check_kw_vs_oracle", unreachable)
-    monkeypatch.setattr(verify, "_step_table", unreachable)
+    monkeypatch.setattr(verify, "_csr", unreachable)
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_LOOP_LEN_CAP}"):
         run_suite(make_triangle(0.25), MAX_LOOP_LEN_CAP + 1)
 
 
 def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
     for g, max_len in budgeted_cases(corpus):
-        full = loops._step_table(g, weigh=True)
-        pruned = loops._step_table(g, weigh=True, loops_only=True)
+        full = loops._csr(g)
+        pruned = loops._csr(g, loops_only=True)
         assert list(loops._weighed_loops(pruned, max_len).items()) == (
             list(loops._weighed_loops(full, max_len).items())
         )
@@ -429,6 +429,21 @@ def test_public_generic_cancellation_matches_the_per_edge_reference(pendant_leng
         assert verify_generic_cancellation(g, e, 9) == reference_generic_scan(g, weighed, e, 9)
 
 
+@pytest.mark.parametrize("collapsed", [(0, 1), (1, 3)])
+def test_public_generic_cancellation_refuses_a_zero_length_edge_on_a_loop(collapsed):
+    # An unvalidated drawing: edge (u, v), of a triangle or the bridge, has
+    # length zero.  It lies on loops, whose weights need its turning angles,
+    # and it has none.
+    g = dumbbell_with_pendant(1.0)
+    xy = [(p.x, p.y) for p in g.vertices]
+    u, v = collapsed
+    xy[v] = xy[u]
+    g = EmbeddedGraph(xy, g.edges)
+    for e in (0, g.num_directed - 1):
+        with pytest.raises(ValueError, match="zero-length edge"):
+            verify_generic_cancellation(g, e, 6)
+
+
 def test_public_generic_cancellation_matches_the_reference_on_the_corpus(corpus):
     cases = 0
     for g, max_len in budgeted_cases(corpus):
@@ -451,14 +466,14 @@ def test_weight_properties_fail_exactly_where_the_reference_does(
     # (in the walk enumerator for the check, in ``walk_weight`` for the
     # reference, which also reads it in the loop list) fails both or neither.
     g = make(0.25)
-    table = step_table(g)
+    csr = step_csr(g)
     statuses = set()
     for target in enumerate_walks(g, max_len):
         weigh = skewed_walk_weight(target.steps)
         weighed = weighed_loops(g, max_len, weigh)
         with monkeypatch.context() as m:
             perturb_loop_weight(m, target.steps)
-            new, _ = verify._check_weight_properties(g, max_len, table)
+            new, _ = verify._check_weight_properties(g, max_len, csr)
         assert new.status == reference_weight_properties(g, max_len, weighed, weigh).status
         statuses.add(new.status)
     assert statuses == {"pass", "FAIL"}
@@ -502,18 +517,18 @@ def test_groups_of_any_size_give_the_same_check_and_loops(monkeypatch, corpus, c
     # 10, consecutive subtrees share a group and larger ones are split.
     cases = 0
     for g, max_len in small_cases(corpus):
-        table = step_table(g)
+        csr = step_csr(g)
         walks = walk_counts(g, pass_depth(max_len))[pass_depth(max_len)]
         with monkeypatch.context() as m:
             sizes = count_groups(m)
-            one = verify._check_weight_properties(g, max_len, table)
+            one = verify._check_weight_properties(g, max_len, csr)
         assert sizes == [walks]
         with monkeypatch.context() as m:
             m.setattr(loops, "_GROUP_CAP", cap)
             sizes = count_groups(m)
-            split = verify._check_weight_properties(g, max_len, table)
+            split = verify._check_weight_properties(g, max_len, csr)
             enumerated = enumerate_walks(g, max_len)
-            weighed = loops._weighed_loops(table, max_len)
+            weighed = loops._weighed_loops(csr, max_len)
         assert split[0] == one[0]
         assert list(split[1].items()) == list(one[1].items())
         assert sum(sizes) == walks and max(sizes) <= cap
@@ -529,14 +544,14 @@ def test_a_skewed_walk_fails_alike_in_groups_of_one(monkeypatch, make, every):
     # reversal pairs and the loops are checked.
     g = make(0.25)
     max_len = 5
-    table = step_table(g)
+    csr = step_csr(g)
     statuses = set()
     for target in enumerate_walks(g, max_len)[::every]:
         with monkeypatch.context() as m:
             perturb_loop_weight(m, target.steps)
-            one = verify._check_weight_properties(g, max_len, table)
+            one = verify._check_weight_properties(g, max_len, csr)
             m.setattr(loops, "_GROUP_CAP", 1)
-            split = verify._check_weight_properties(g, max_len, table)
+            split = verify._check_weight_properties(g, max_len, csr)
         assert split[0] == one[0]
         assert list(split[1].items()) == list(one[1].items())
         statuses.add(one[0].status)
@@ -585,11 +600,11 @@ def test_the_lexicographically_first_of_two_failures_is_reported(
         monkeypatch.setattr(loops, "_GROUP_CAP", cap)
     with monkeypatch.context() as m:
         perturb_loop_weight(m, last)
-        alone = verify._check_weight_properties(g, 9, step_table(g))[0]
+        alone = verify._check_weight_properties(g, 9, step_csr(g))[0]
     assert alone.detail.startswith(f"{message} {last}:")
     where = group_of_each_walk(monkeypatch, 9)
     perturb_loop_weight(monkeypatch, first, last)
-    both = verify._check_weight_properties(g, 9, step_table(g))[0]
+    both = verify._check_weight_properties(g, 9, step_csr(g))[0]
     assert both.status == "FAIL"
     assert both.detail.startswith(f"{message} {first}:")
     assert (where[first] == where[last]) == (cap is None)
@@ -609,7 +624,7 @@ def test_a_longer_walk_that_sorts_first_is_reported_first(monkeypatch):
     d = next(d for d in range(g.num_directed) if min(lengths(d, 3)) < max(lengths(d, 2)))
     long, short = min(lengths(d, 3)), max(lengths(d, 2))
     perturb_loop_weight(monkeypatch, short, long)
-    result = verify._check_weight_properties(g, 6, step_table(g))[0]
+    result = verify._check_weight_properties(g, 6, step_csr(g))[0]
     assert result.detail.startswith(f"multiplicativity fails for {long[:1]}+{long}:")
 
 
@@ -634,7 +649,7 @@ def test_a_skew_just_past_the_tolerance_fails(monkeypatch, make, predicate, mess
     g = make(2.0)
     target = next(w for w in enumerate_walks(g, 9) if predicate(w))
     perturb_loop_weight(monkeypatch, target.steps, factor=1.0 + skew)
-    result = verify._check_weight_properties(g, 9, step_table(g))[0]
+    result = verify._check_weight_properties(g, 9, step_csr(g))[0]
     if skew > 1e-12:
         assert result.status == "FAIL"
         assert result.detail.startswith(message)
