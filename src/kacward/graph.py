@@ -786,7 +786,10 @@ def require_valid_embedding(g: EmbeddedGraph) -> None:
 def _check_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{what} is an integer beyond the float range") from None
 
 
 def _check_int(value, what: str) -> int:
@@ -848,11 +851,12 @@ def loads_graph(text: str) -> EmbeddedGraph:
 
     if not (_rows_of(vertices, (_NUMBER, _NUMBER)) and _rows_of(edges, (_INT, _INT, _NUMBER))):
         _raise_first_format_error(vertices, edges)
-    # An int beyond the float range raises OverflowError here, as float()
-    # does, before any check of the graph's structure.
-    xy = np.array(vertices, dtype=np.float64).reshape(-1, 2)
     us, vs, ws = zip(*edges) if edges else ((), (), ())
-    weights = np.array(ws, dtype=np.float64)
+    try:
+        xy = np.array(vertices, dtype=np.float64).reshape(-1, 2)
+        weights = np.array(ws, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range: name its row
+        _raise_first_format_error(vertices, edges)
     try:
         _check_finite(xy)
         ends = _checked_ends(us, vs, weights, len(xy))

@@ -21,13 +21,13 @@ one step, in walk order, so the weights are the same floats that
 ``walk_weight`` returns.  Every level is in lexicographic order, and a
 lexsort of the levels recovers the depth-first order.  ``_groups`` bounds the
 memory: it hands the walks out in consecutive groups of subtrees, each
-counted from the steps before it is built.  Weighed loops are one dict,
-steps -> (weight, edge product), in lexicographic order, with no ``Loop``
-object per loop.  The layout's angles raise on no drawing (a zero-length
-edge gets 0 or pi), so the enumerators that ignore weights run on graphs
-with zero-length edges too; ``verify_generic_cancellation`` leaves out
-the steps on edges no loop uses (trees hanging off the graph), and refuses a
-zero-length edge only on a loop.
+counted from the steps before it is built.  Weighed loops are one record of
+arrays, ``_Loops`` (padded steps, lengths, weights), in lexicographic order,
+with no ``Loop`` object per loop.  The layout's angles raise on no drawing (a
+zero-length edge gets 0 or pi), so the enumerators that ignore weights run
+on graphs with zero-length edges too; ``verify_generic_cancellation`` leaves
+out the steps on edges no loop uses (trees hanging off the graph), and
+refuses a zero-length edge only on a loop.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -125,11 +125,6 @@ def _check_in_graph(g: EmbeddedGraph, w: Walk) -> None:
             raise ValueError(f"steps {a} -> {b} are not consecutive")
 
 
-def _value(turning: float, product: float) -> complex:
-    """A walk's complex weight from its turning sum and edge product."""
-    return cmath.exp(0.5j * turning) * product
-
-
 def walk_weight(g: EmbeddedGraph, w: Walk) -> WalkWeight:
     """Evaluate the walk weight; the empty walk (length 0) weighs (1, 0, 1)."""
     _check_in_graph(g, w)
@@ -138,7 +133,7 @@ def walk_weight(g: EmbeddedGraph, w: Walk) -> WalkWeight:
     for a, b in zip(w.steps, w.steps[1:]):
         turning += turning_angle(g, a, b)
         product *= g.directed_weight(a)
-    return WalkWeight(_value(turning, product), turning, product)
+    return WalkWeight(cmath.exp(0.5j * turning) * product, turning, product)
 
 
 def _promote(steps: tuple[int, ...]) -> Walk:
@@ -156,23 +151,15 @@ def concat(w1: Walk, w2: Walk) -> Walk:
     return _promote(w1.steps + w2.steps[1:])
 
 
-def _reverse_steps(steps: Sequence[int]) -> tuple[int, ...]:
-    return tuple((s ^ 1) for s in reversed(steps))
-
-
 def reverse_walk(w: Walk) -> Walk:
     """Traverse the walk backwards along reversed directed edges."""
-    return _promote(_reverse_steps(w.steps))
+    return _promote(tuple((s ^ 1) for s in reversed(w.steps)))
 
 
 def is_self_avoiding(g: EmbeddedGraph, l: Loop) -> bool:
     """True iff every vertex of the loop appears in exactly two traversed edges."""
-    return _self_avoiding(g, l.steps)
-
-
-def _self_avoiding(g: EmbeddedGraph, steps: tuple[int, ...]) -> bool:
     counts: dict[int, int] = {}
-    for s in steps[:-1]:
+    for s in l.steps[:-1]:
         for v in (g.tail(s), g.head(s)):
             counts[v] = counts.get(v, 0) + 1
     return all(c == 2 for c in counts.values())
@@ -407,30 +394,67 @@ def _loops_up_to(max_len: int):
     return keep
 
 
-def _in_order(picked: Picked) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The step tuples of ``picked`` in lexicographic order, and that order as
-    a permutation of its rows taken level after level."""
-    if not picked:
-        return [], np.zeros(0, dtype=np.intp)
-    width = max(steps.shape[1] for steps, _, _ in picked)
-    padded = np.full((sum(len(steps) for steps, _, _ in picked), width), -1)
+class _Loops(NamedTuple):
+    """Walks in lexicographic order, one per row: ``steps`` padded with -1,
+    ``length`` steps each, weight ``lam`` as ``walk_weight`` weighs it."""
+
+    steps: np.ndarray
+    length: np.ndarray
+    lam: np.ndarray
+
+
+def _sorted(picked: Picked, width: int) -> _Loops:
+    """The walks of ``picked`` in lexicographic order, padded to ``width`` entries."""
+    n = sum(len(rows) for rows, _, _ in picked)
+    steps = np.full((n, width), -1, dtype=np.intp)
+    length, t, p = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
     at = 0
-    for steps, _, _ in picked:
-        padded[at : at + len(steps), : steps.shape[1]] = steps
-        at += len(steps)
-    order = np.lexsort(padded.T[::-1])
-    keys = [tuple(row) for steps, _, _ in picked for row in steps.tolist()]
-    return [keys[i] for i in order.tolist()], order
+    for rows, turning, product in picked:
+        end = at + len(rows)
+        steps[at:end, : rows.shape[1]] = rows
+        length[at:end], t[at:end], p[at:end] = rows.shape[1] - 1, turning, product
+        at = end
+    order = np.lexsort(steps.T[::-1])
+    return _Loops(steps[order], length[order], np.exp(0.5j * t[order]) * p[order])
+
+
+def _join(parts: list[_Loops], width: int) -> _Loops:
+    """The records ``parts`` end to end; each part leaves the list, and is
+    freed, once it is copied, so the parts and the whole are not all held."""
+    n = sum(len(part.lam) for part in parts)
+    steps, length = np.empty((n, width), dtype=np.intp), np.empty(n, dtype=np.intp)
+    whole = _Loops(steps, length, np.empty(n, complex))
+    at = 0
+    parts.reverse()
+    while parts:
+        part = parts.pop()
+        for column, piece in zip(whole, part):
+            column[at : at + len(piece)] = piece
+        at += len(part.lam)
+    return whole
+
+
+def _visits(loops: _Loops, n: int) -> np.ndarray:
+    """``visits[i, d]``: loop i steps along directed edge d.  Its last entry
+    repeats its first; the padding, -1, marks column n, which is dropped."""
+    visits = np.zeros((len(loops.lam), n + 1), dtype=bool)
+    for column in loops.steps.T:
+        visits[np.arange(len(visits)), column] = True
+    return visits[:, :n]
 
 
 def _all_walks(g: EmbeddedGraph, max_len: int, root: int | None, keep) -> list[tuple[int, ...]]:
     """The step tuples of the walks up to ``max_len`` from ``root`` (or from
     every edge) that ``keep`` marks, in lexicographic order."""
     roots = range(g.num_directed) if root is None else (root,)
-    csr = _csr(g)
+    width = max(max_len, 0) + 1
     walks = []
-    for group in _groups(csr, roots, max(max_len, 0)):
-        walks += _in_order(_pick(group, keep))[0]
+    for group in _groups(_csr(g), roots, width - 1):
+        picked = _pick(group, keep)
+        # ``picked`` holds each length's walks in order, level after level.
+        keys = [tuple(row) for rows, _, _ in picked for row in rows.tolist()]
+        length = _sorted(picked, width).length
+        walks += map(keys.__getitem__, np.argsort(np.argsort(length, kind="stable")).tolist())
     return walks
 
 
@@ -485,11 +509,6 @@ def truncated_loop_sum(g: EmbeddedGraph, max_n: int) -> complex:
     return total
 
 
-def _visits_both(steps: tuple[int, ...], e: int) -> bool:
-    body = steps[:-1]
-    return e in body and (e ^ 1) in body
-
-
 def specific_cancellation_involution(g: EmbeddedGraph, l: Loop, e: int) -> Loop:
     """The weight-negating pairing on loops that visit both ``e`` and its reversal.
 
@@ -501,7 +520,7 @@ def specific_cancellation_involution(g: EmbeddedGraph, l: Loop, e: int) -> Loop:
     """
     _check_in_graph(g, l)
     body = l.steps[:-1]
-    if not _visits_both(l.steps, e):
+    if e not in body or (e ^ 1) not in body:
         raise ValueError(
             f"loop does not visit both directed edge {e} and its reversal"
         )
@@ -547,50 +566,35 @@ class GenericCancellationReport:
     bound: float
 
 
-Weighed = dict[tuple[int, ...], tuple[complex, float]]
-
-
-def _add_loops(weighed: Weighed, loops: Picked) -> None:
-    """Add ``loops`` (one group's, from ``_pick``) to ``weighed`` in
-    lexicographic order, each weighed as ``walk_weight`` weighs it."""
-    if not loops:
-        return
-    keys, order = _in_order(loops)
-    t = np.concatenate([t for _, t, _ in loops])[order].tolist()
-    p = np.concatenate([p for _, _, p in loops])[order].tolist()
-    weighed.update(zip(keys, [(_value(a, b), b) for a, b in zip(t, p)]))
-
-
-def _weighed_loops(csr: _Csr, max_len: int) -> Weighed:
-    """steps -> (weight, edge product) of the loops of length 2..max_len, in
-    lexicographic order."""
-    weighed: Weighed = {}
-    for group in _groups(csr, range(len(csr.x)), max_len):
-        _add_loops(weighed, _pick(group, _loops_up_to(max_len)))
-    return weighed
+def _weighed_loops(csr: _Csr, max_len: int) -> _Loops:
+    """The loops of length 2..max_len, in lexicographic order."""
+    keep, width = _loops_up_to(max_len), max_len + 1
+    groups = _groups(csr, range(len(csr.x)), max_len)
+    return _join([_sorted(_pick(group, keep), width) for group in groups], width)
 
 
 def _generic_scan(
-    g: EmbeddedGraph, weighed: Weighed, max_n: int
+    g: EmbeddedGraph, loops: _Loops, visits: np.ndarray, max_n: int
 ) -> list[GenericCancellationReport]:
-    """``verify_generic_cancellation`` at every directed edge, in one scan of the
-    weighed loops up to ``max_n``; each edge's sums add up in enumeration order."""
-    wsum = [0.0 + 0.0j] * g.num_directed
-    single = [0.0 + 0.0j] * g.num_directed
-    for steps, (lam, _) in weighed.items():
-        body = steps[:-1]
-        visited = set(body)
-        share = lam / len(body)
-        for e in visited:
-            if (e ^ 1) not in visited:
-                wsum[e] += share
-        if (steps[0] ^ 1) not in visited and body.count(steps[0]) == 1:
-            single[steps[0]] += lam
+    """``verify_generic_cancellation`` at every directed edge, from the loops
+    up to ``max_n`` and their ``visits``; each edge's sums add up in loop order."""
+    share = np.empty(len(loops.lam), complex)  # lam / length, as Python divides
+    share.real, share.imag = loops.lam.real / loops.length, loops.lam.imag / loops.length
+    wsum = np.zeros(g.num_directed, complex)
+    for d in range(g.num_directed):
+        through = np.flatnonzero(visits[:, d] & ~visits[:, d ^ 1])
+        np.add.at(wsum, np.full(len(through), d), share[through])
+    root = loops.steps[:, 0]
+    # The last entry repeats the root, so a single visit shows twice.
+    single_visit = (loops.steps == root[:, None]).sum(axis=1) == 2
+    single_visit &= ~visits[np.arange(len(root)), root ^ 1]
+    single = np.zeros(g.num_directed, complex)
+    np.add.at(single, root[single_visit], loops.lam[single_visit])
     rho, top = _contraction(g)
     c = 2 * g.num_edges * max(1.0, top)
     bound = c * rho ** (max_n + 1) / (1.0 - rho) if rho > 0 else 0.0
     reports = []
-    for s, t in zip(wsum, single):
+    for s, t in zip(wsum.tolist(), single.tolist()):
         lhs, rhs = cmath.exp(-s), 1.0 - t
         reports.append(GenericCancellationReport(lhs, rhs, abs(lhs - rhs), bound))
     return reports
@@ -618,4 +622,5 @@ def verify_generic_cancellation(
     xy = g._geometry.xy
     if (xy[u] == xy[v]).all(axis=1).any():
         raise ValueError("turning angle undefined for a zero-length edge on a loop")
-    return _generic_scan(g, _weighed_loops(csr, max_n), max_n)[e]
+    found = _weighed_loops(csr, max_n)
+    return _generic_scan(g, found, _visits(found, g.num_directed), max_n)[e]

@@ -8,6 +8,7 @@ hanging; they fail loudly instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -127,22 +128,24 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
     return CycleBasis(basis=tuple(basis))
 
 
-def even_subgraphs_from_basis(basis: CycleBasis) -> list[EvenSubgraph]:
-    """The full GF(2) span of the basis; ascending mask order."""
+def _span(basis: CycleBasis) -> Iterator[int]:
+    """The masks of the GF(2) span of the basis, in Gray-code order from the
+    empty subgraph; refuses a dimension over ``CYCLE_DIM_CAP``."""
     d = basis.dimension
     if d > CYCLE_DIM_CAP:
         raise ValueError(
             f"cycle space too large: dimension {d} exceeds cap {CYCLE_DIM_CAP}"
         )
-    masks = []
     cur = 0
-    for i in range(1 << d):
-        if i:
-            j = (i & -i).bit_length() - 1
-            cur ^= basis.basis[j].mask
-        masks.append(cur)
-    masks.sort()
-    return [EvenSubgraph(m) for m in masks]
+    yield cur
+    for i in range(1, 1 << d):
+        cur ^= basis.basis[(i & -i).bit_length() - 1].mask
+        yield cur
+
+
+def even_subgraphs_from_basis(basis: CycleBasis) -> list[EvenSubgraph]:
+    """The full GF(2) span of the basis; ascending mask order."""
+    return [EvenSubgraph(m) for m in sorted(_span(basis))]
 
 
 def partition_function_oracle(g: EmbeddedGraph) -> float:
@@ -152,20 +155,10 @@ def partition_function_oracle(g: EmbeddedGraph) -> float:
     and recomputes each monomial from scratch (no incremental multiplication,
     so zero weights cannot poison later terms).
     """
-    cb = cycle_space_basis(g)
-    d = cb.dimension
-    if d > CYCLE_DIM_CAP:
-        raise ValueError(
-            f"cycle space too large: dimension {d} exceeds cap {CYCLE_DIM_CAP}"
-        )
     weights = [e.weight for e in g.edges]
-    total = 1.0  # empty subgraph
-    cur = 0
-    for i in range(1, 1 << d):
-        j = (i & -i).bit_length() - 1
-        cur ^= cb.basis[j].mask
+    total = 0.0
+    for m in _span(cycle_space_basis(g)):
         term = 1.0
-        m = cur
         while m:
             lsb = m & -m
             term *= weights[lsb.bit_length() - 1]

@@ -16,18 +16,20 @@ from .graph import EmbeddedGraph, max_degree, require_valid_embedding
 from .loops import (
     Group,
     Picked,
-    Weighed,
-    _add_loops,
     _check_len_cap,
     _Csr,
     _csr,
     _entries,
     _generic_scan,
     _groups,
+    _join,
+    _Loops,
     _loops_up_to,
     _pick,
+    _sorted,
     _steps,
     _traces,
+    _visits,
     _weigh_steps,
 )
 from .oracle import partition_function_oracle
@@ -174,7 +176,7 @@ def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | 
 
 def _check_weight_properties(
     g: EmbeddedGraph, max_len: int, csr: _Csr
-) -> tuple[CheckResult, Weighed]:
+) -> tuple[CheckResult, _Loops]:
     """The check, and the rooted loops up to ``max_len`` that its walk pass
     weighs, in lexicographic order.
 
@@ -188,7 +190,7 @@ def _check_weight_properties(
     step = np.exp(0.5j * csr.angle) * csr.x[csr.src]
     ends = g._geometry.ends
     ends_of = np.stack((ends, ends[:, ::-1]), axis=1).reshape(-1, 2)
-    loops: Weighed = {}
+    parts = []
     walk_failure = loop_failure = None
     for group in _groups(csr, range(g.num_directed), max(max_len, 2 * half)):
         picked = _pick(group, _loops_up_to(max_len))
@@ -196,54 +198,48 @@ def _check_weight_properties(
             walk_failure = _first_walk_failure(csr, step, half, group, max_len)
         if walk_failure is None and loop_failure is None:
             loop_failure = _first_loop_failure(csr, ends_of, picked)
-        _add_loops(loops, picked)
+        parts.append(_sorted(picked, max_len + 1))
     failure = walk_failure or loop_failure
     detail = failure or f"walk/loop lengths up to {max_len}"
-    return CheckResult("weight-properties", failure is None, detail), loops
+    return CheckResult("weight-properties", failure is None, detail), _join(parts, max_len + 1)
 
 
-def _check_specific_cancellation(weighed: Weighed) -> CheckResult:
+def _check_specific_cancellation(loops: _Loops, visits: np.ndarray) -> CheckResult:
+    """Per class (e, length), the loops stepping along both e and e ^ 1 (e = 2k
+    and 2k + 1 share them) sum to 0, added in loop order one edge pair at a
+    time.  A failure names the first failing class by (first loop, edge)."""
     name = "specific-cancellation"
-    sums: dict[tuple[int, int], complex] = {}
-    mags: dict[tuple[int, int], float] = {}
-    for steps, (lam, _) in weighed.items():
-        body = set(steps[:-1])
-        for k in {s >> 1 for s in body}:
-            if 2 * k in body and 2 * k + 1 in body:
-                for e in (2 * k, 2 * k + 1):
-                    key = (e, len(steps) - 1)
-                    sums[key] = sums.get(key, 0.0) + lam
-                    mags[key] = mags.get(key, 0.0) + abs(lam)
-    worst_key = None
-    worst_ratio = 0.0
-    for key, total in sums.items():
-        tol = 1e-12 * max(mags[key], 1.0)
-        ratio = abs(total) / tol
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_key = key
-        if abs(total) > tol:
-            return CheckResult(
-                name,
-                False,
-                f"edge {key[0]} length {key[1]}: |sum| = {_fmt(abs(total))} "
-                f"(tol {_fmt(tol)})",
-            )
-    detail = f"{len(sums)} (edge, length) classes"
-    if worst_key is not None:
-        detail += f", worst |sum|/tol = {_fmt(worst_ratio)}"
+    both = visits[:, ::2] & visits[:, 1::2]
+    shape = (both.shape[1], loops.steps.shape[1])  # (k, length)
+    sums, mags, first = np.zeros(shape, complex), np.zeros(shape), np.full(shape, len(both))
+    for k, column in enumerate(both.T):
+        rows = np.flatnonzero(column)
+        lam, length = loops.lam[rows], loops.length[rows]
+        np.add.at(sums[k], length, lam)
+        np.add.at(mags[k], length, np.hypot(lam.real, lam.imag))
+        np.minimum.at(first[k], length, rows)
+    size, tol = np.hypot(sums.real, sums.imag), 1e-12 * np.maximum(mags, 1.0)
+    failing = [(first[k, n], k, n) for k, n in zip(*np.nonzero(size > tol))]
+    if failing:
+        _, k, n = min(failing)
+        detail = f"edge {2 * k} length {n}: |sum| = {_fmt(size[k, n])} (tol {_fmt(tol[k, n])})"
+        return CheckResult(name, False, detail)
+    ratio = size / tol
+    detail = f"{2 * np.count_nonzero(first < len(both))} (edge, length) classes"
+    if (ratio > 0).any():
+        detail += f", worst |sum|/tol = {_fmt(ratio[ratio > 0].max())}"
     return CheckResult(name, True, detail)
 
 
 def _check_generic_cancellation(
-    g: EmbeddedGraph, max_len: int, weighed: Weighed
+    g: EmbeddedGraph, max_len: int, loops: _Loops, visits: np.ndarray
 ) -> CheckResult:
     name = "generic-cancellation"
     if not check_convergence_radius(g):
         return CheckResult(name, None, "skipped: weights outside the convergence radius")
     worst_gap = 0.0
     worst_edge = -1
-    for e, report in enumerate(_generic_scan(g, weighed, max_len)):
+    for e, report in enumerate(_generic_scan(g, loops, visits, max_len)):
         if report.gap > report.bound:
             return CheckResult(
                 name,
@@ -258,16 +254,14 @@ def _check_generic_cancellation(
     )
 
 
-def _check_trace_identity(tm: np.ndarray, max_len: int, weighed: Weighed) -> CheckResult:
+def _check_trace_identity(tm: np.ndarray, max_len: int, loops: _Loops) -> CheckResult:
     name = "trace-identity"
     top = min(8, max_len)
-    loop_sums = {n: 0.0 + 0.0j for n in range(1, top + 1)}
-    for steps, (lam, _) in weighed.items():
-        if len(steps) - 1 <= top:
-            loop_sums[len(steps) - 1] += lam
+    loop_sums = np.zeros(loops.steps.shape[1], complex)
+    np.add.at(loop_sums, loops.length, loops.lam)  # in loop order
     worst = 0.0
     for n, trace in enumerate(_traces(tm, top), 1):
-        diff = abs(trace - loop_sums[n])
+        diff = abs(trace - complex(loop_sums[n]))
         worst = max(worst, diff)
         if diff > 1e-11 * max(1.0, abs(trace)):
             return CheckResult(
@@ -305,8 +299,8 @@ def run_suite(
     built.  The transition matrix and the oracle's Z are computed once and
     shared.  Every walk weight comes from the transition layout's steps and
     turning angles, as the walk enumerator reaches the walk; weight-properties'
-    one pass over the walks also collects the weighed rooted loops that the
-    other loop checks read.
+    one pass over the walks also collects the weighed rooted loops, one record
+    of arrays that the other loop checks read, with one visit matrix.
     A length over ``MAX_LOOP_LEN_CAP`` raises ValueError before any work.
     """
     require_valid_embedding(g)
@@ -314,12 +308,13 @@ def run_suite(
     tm = _transition_matrix(g).entries
     z = partition_function_oracle(g)
     kw = _check_kw_vs_oracle(tm, z, corrupt_transition)
-    weight_properties, weighed = _check_weight_properties(g, max_len, _csr(g))
+    weight_properties, found = _check_weight_properties(g, max_len, _csr(g))
+    visits = _visits(found, g.num_directed)
     return [
         kw,
         weight_properties,
-        _check_specific_cancellation(weighed),
-        _check_generic_cancellation(g, max_len, weighed),
-        _check_trace_identity(tm, max_len, weighed),
+        _check_specific_cancellation(found, visits),
+        _check_generic_cancellation(g, max_len, found, visits),
+        _check_trace_identity(tm, max_len, found),
         _check_decoration(g, z),
     ]

@@ -111,6 +111,22 @@ def test_z_parse_error_exits_2(capsys, tmp_path):
     assert err.startswith("kacward: error[parse]:")
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"vertices": [[0, 0], [%s, 0]], "edges": [[0, 1, 0.5]]}', "vertex 1 x"),
+        ('{"vertices": [[0, 0], [1, 0]], "edges": [[0, 1, %s]]}', "edge 0 weight"),
+    ],
+    ids=["coordinate", "weight"],
+)
+def test_z_integer_beyond_the_float_range_exits_2(capsys, tmp_path, text, named):
+    path = tmp_path / "huge.json"
+    path.write_text(text % ("1" + "0" * 400))
+    code, out, err = run(capsys, "z", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"kacward: error[parse]: {named} is an integer beyond the float range\n"
+
+
 def test_z_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "z", str(tmp_path / "nope.json"))
     assert code == 2

@@ -96,6 +96,24 @@ def test_vertex_errors_are_the_same_in_bulk_and_one_at_a_time():
     assert str(info.value) == message
 
 
+HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (f"[[0, 0], [1, -{HUGE}], [1, 1]]", "[[0, 0, 0.5]]", "vertex 1 y"),
+        ("[[0, 0], [1, 0], [1, 1]]", f"[[0, 0, 0.5], [1, 2, {HUGE}]]", "edge 1 weight"),
+    ],
+    ids=["coordinate", "weight"],
+)
+def test_an_integer_beyond_the_float_range_is_named(vertices, edges, message):
+    # Named as it is parsed, before edge 0, a self-loop, is looked at.
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph(f'{{"vertices": {vertices}, "edges": {edges}}}')
+    assert str(info.value) == f"{message} is an integer beyond the float range"
+
+
 def test_signed_zeros_give_equal_graphs_and_hashes():
     g = EmbeddedGraph([(0.0, -0.0), (1.0, 0.0)], [(0, 1, 0.0)])
     h = EmbeddedGraph([(-0.0, 0.0), (1.0, -0.0)], [(0, 1, -0.0)])

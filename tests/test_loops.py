@@ -317,10 +317,12 @@ def prefix_weight_mismatches(g, max_len, csr):
     bad = []
     for group in loops._groups(csr, range(g.num_directed), max_len):
         for steps, turnings, products in loops._pick(group, loops._every_walk):
-            for seq, turning, product in zip(steps.tolist(), turnings.tolist(), products.tolist()):
+            # Each walk weighed as ``loops._sorted`` weighs the loops.
+            values = np.exp(0.5j * turnings) * products
+            rows = zip(steps.tolist(), values.tolist(), turnings.tolist(), products.tolist())
+            for seq, *got in rows:
                 ww = walk_weight(g, Walk(tuple(seq)))
-                got = (loops._value(turning, product), turning, product)
-                if got != (ww.value, ww.turning_sum, ww.edge_product):
+                if tuple(got) != (ww.value, ww.turning_sum, ww.edge_product):
                     bad.append(tuple(seq))
     return bad
 

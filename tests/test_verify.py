@@ -30,6 +30,7 @@ from conftest import (
     make_path3,
     make_square_cycle,
     make_triangle,
+    make_wheel,
     walk_counts,
 )
 
@@ -106,6 +107,31 @@ def test_a_skewed_loop_weight_fails_the_check(
         assert result.detail.startswith(f"loop {target.steps}:")
 
 
+def test_the_first_failing_specific_class_by_first_loop_and_edge_is_named(monkeypatch):
+    # A bowtie loop of length 12 that goes round each triangle both ways
+    # visits every edge both ways, so skewing it fails all six classes
+    # (edge, 12).  The class named is the one whose first loop comes first,
+    # ties going to the smaller edge: here not the smallest edge.
+    g = make_bowtie(0.25)
+    found = [l for l in enumerate_rooted_loops(g, 12) if l.length == 12]
+
+    def both_ways(l):
+        body = set(l.steps[:-1])
+        return sorted({s >> 1 for s in body if s ^ 1 in body})
+
+    first = {}
+    for i, l in enumerate(found):
+        for k in both_ways(l):
+            first.setdefault(k, i)
+    target = next(l for l in found if len(both_ways(l)) == 6)
+    named = min(both_ways(target), key=lambda k: (first[k], k))
+    assert named != 0
+    perturb_loop_weight(monkeypatch, target.steps)
+    result = results_by_name(g, 12)["specific-cancellation"]
+    assert result.status == "FAIL"
+    assert result.detail.startswith(f"edge {2 * named} length 12:")
+
+
 def test_loops_are_enumerated_once_per_suite(monkeypatch):
     # Weight-properties' walk pass collects the weighed loops; it runs once.
     real = verify._check_weight_properties
@@ -120,7 +146,9 @@ def test_loops_are_enumerated_once_per_suite(monkeypatch):
     results = run_suite(g, 10)
     assert [r.status for r in results] == ["pass"] * 6
     assert len(calls) == 1
-    assert list(calls[0][1]) == [l.steps for l in enumerate_rooted_loops(g, 10)]
+    assert [steps for steps, _ in listed(calls[0][1])] == [
+        l.steps for l in enumerate_rooted_loops(g, 10)
+    ]
 
 
 def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch):
@@ -138,13 +166,11 @@ def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch)
     assert results[1].detail.startswith(
         f"multiplicativity fails for {target.steps[:1]}+{target.steps}:"
     )
-    expected = [
-        (l.steps, (walk_weight(g, l).value, walk_weight(g, l).edge_product))
-        for l in enumerate_rooted_loops(g, 9)
-    ]
+    expected = [(l.steps, walk_weight(g, l).value) for l in enumerate_rooted_loops(g, 9)]
     for calls in seen:
         (args,) = calls
-        assert list(args[-1].items()) == expected
+        (found,) = [arg for arg in args if isinstance(arg, loops._Loops)]
+        assert listed(found) == expected
 
 
 def test_suite_builds_the_transition_matrix_and_the_oracle_once(monkeypatch):
@@ -332,9 +358,26 @@ def weighed_loops(g, max_len, weigh=walk_weight):
     return [(l, weigh(g, l)) for l in enumerate_rooted_loops(g, max_len)]
 
 
-def as_dict(weighed):
-    """The references' (Loop, WalkWeight) list as the check suite keeps it."""
-    return {l.steps: (ww.value, ww.edge_product) for l, ww in weighed}
+def as_listed(weighed):
+    """The references' (Loop, WalkWeight) list as ``listed`` lists a record."""
+    return [(l.steps, ww.value) for l, ww in weighed]
+
+
+def as_record(weighed, max_len):
+    """The references' (Loop, WalkWeight) list as the check suite's record."""
+    steps = np.full((len(weighed), max_len + 1), -1, dtype=np.intp)
+    for row, (l, _) in zip(steps, weighed):
+        row[: len(l.steps)] = l.steps
+    length = np.array([l.length for l, _ in weighed], dtype=np.intp)
+    return loops._Loops(steps, length, np.array([ww.value for _, ww in weighed], dtype=complex))
+
+
+def listed(found):
+    """(steps, weight) of each loop of a ``loops._Loops`` record, in its order;
+    its rows must be padded with -1 past their lengths."""
+    assert ((found.steps >= 0).sum(axis=1) == found.length + 1).all()
+    rows = zip(found.steps.tolist(), found.length.tolist(), found.lam.tolist())
+    return [(tuple(row[: n + 1]), lam) for row, n, lam in rows]
 
 
 def step_csr(g):
@@ -367,7 +410,7 @@ def test_weight_properties_match_the_pair_loop_reference(corpus):
         weighed = weighed_loops(g, max_len, memo_weight)
         new, collected = verify._check_weight_properties(g, max_len, step_csr(g))
         assert new == reference_weight_properties(g, max_len, weighed, memo_weight)
-        assert list(collected.items()) == list(as_dict(weighed).items())
+        assert listed(collected) == as_listed(weighed)
         cases += 1
     assert cases >= 900
 
@@ -375,10 +418,65 @@ def test_weight_properties_match_the_pair_loop_reference(corpus):
 def test_generic_scan_matches_the_per_edge_reference(corpus):
     for g, max_len in budgeted_cases(corpus):
         weighed = weighed_loops(g, max_len)
-        reports = loops._generic_scan(g, as_dict(weighed), max_len)
+        found = as_record(weighed, max_len)
+        reports = loops._generic_scan(g, found, loops._visits(found, g.num_directed), max_len)
         assert len(reports) == g.num_directed
         for e, report in enumerate(reports):
             assert report == reference_generic_scan(g, weighed, e, max_len)
+
+
+def reference_specific_cancellation(weighed):
+    """The former per-loop specific-cancellation check, naming the first
+    failing class by (first loop, edge)."""
+    sums, mags, first = {}, {}, {}
+    for i, (l, ww) in enumerate(weighed):
+        body = set(l.steps[:-1])
+        for k in sorted({s >> 1 for s in body if s ^ 1 in body}):
+            key = (2 * k, l.length)
+            sums[key] = sums.get(key, 0.0) + ww.value
+            mags[key] = mags.get(key, 0.0) + abs(ww.value)
+            first.setdefault(key, i)
+    failing, worst = [], 0.0
+    for key, total in sums.items():
+        tol = 1e-12 * max(mags[key], 1.0)
+        worst = max(worst, abs(total) / tol)
+        if abs(total) > tol:
+            detail = f"edge {key[0]} length {key[1]}: |sum| = {_fmt(abs(total))} (tol {_fmt(tol)})"
+            failing.append((first[key], key, detail))
+    if failing:
+        return CheckResult("specific-cancellation", False, min(failing)[2])
+    detail = f"{2 * len(sums)} (edge, length) classes"
+    if worst > 0:
+        detail += f", worst |sum|/tol = {_fmt(worst)}"
+    return CheckResult("specific-cancellation", True, detail)
+
+
+def test_specific_cancellation_matches_the_per_loop_reference(corpus):
+    # Unskewed on the corpus and on graphs whose loops visit edges both
+    # ways, then with each such loop of the bowtie and the 3-wheel skewed.
+    def check(g, weighed, max_len):
+        found = as_record(weighed, max_len)
+        return verify._check_specific_cancellation(found, loops._visits(found, g.num_directed))
+
+    bowtie, wheel = (make_bowtie(0.25), 12), (make_wheel(3, 0.15), 9)
+    classes = 0
+    for g, max_len in [*budgeted_cases(corpus), bowtie, wheel, (make_wheel(4, 0.15), 8)]:
+        weighed = weighed_loops(g, max_len)
+        result = check(g, weighed, max_len)
+        assert result == reference_specific_cancellation(weighed)
+        classes += int(result.detail.split()[0])
+    assert classes >= 40
+    for g, max_len in (bowtie, wheel):
+        weighed = weighed_loops(g, max_len)
+        named = set()
+        for i, (l, ww) in enumerate(weighed):
+            if visits_both_ways(l):
+                skewed = list(weighed)
+                skewed[i] = (l, dataclasses.replace(ww, value=ww.value * 1.01))
+                result = check(g, skewed, max_len)
+                assert result == reference_specific_cancellation(skewed)
+                named.add(result.detail.split(":")[0])
+        assert len(named) > 1
 
 
 def test_suite_refuses_a_length_over_the_cap(monkeypatch):
@@ -395,8 +493,8 @@ def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
     for g, max_len in budgeted_cases(corpus):
         full = loops._csr(g)
         pruned = loops._csr(g, loops_only=True)
-        assert list(loops._weighed_loops(pruned, max_len).items()) == (
-            list(loops._weighed_loops(full, max_len).items())
+        assert listed(loops._weighed_loops(pruned, max_len)) == (
+            listed(loops._weighed_loops(full, max_len))
         )
 
 
@@ -530,10 +628,10 @@ def test_groups_of_any_size_give_the_same_check_and_loops(monkeypatch, corpus, c
             enumerated = enumerate_walks(g, max_len)
             weighed = loops._weighed_loops(csr, max_len)
         assert split[0] == one[0]
-        assert list(split[1].items()) == list(one[1].items())
+        assert listed(split[1]) == listed(one[1])
         assert sum(sizes) == walks and max(sizes) <= cap
         assert enumerated == enumerate_walks(g, max_len)
-        assert list(weighed.items()) == list(one[1].items())
+        assert listed(weighed) == listed(one[1])
         cases += 1
     assert cases >= 200
 
@@ -553,7 +651,7 @@ def test_a_skewed_walk_fails_alike_in_groups_of_one(monkeypatch, make, every):
             m.setattr(loops, "_GROUP_CAP", 1)
             split = verify._check_weight_properties(g, max_len, csr)
         assert split[0] == one[0]
-        assert list(split[1].items()) == list(one[1].items())
+        assert listed(split[1]) == listed(one[1])
         statuses.add(one[0].status)
     assert statuses == {"pass", "FAIL"}
 
