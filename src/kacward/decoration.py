@@ -88,11 +88,6 @@ def decorate(g: EmbeddedGraph) -> Decoration:
 
     Validates ``g`` first, and the decorated graph once it is built."""
     require_valid_embedding(g)
-    return _decorate(g)
-
-
-def _decorate(g: EmbeddedGraph) -> Decoration:
-    """``decorate`` of a graph that has been validated."""
     fanned = [v for v in range(g.num_vertices) if g.degree(v) > 3]
     if not fanned:
         return Decoration(

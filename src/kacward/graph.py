@@ -207,7 +207,10 @@ class EmbeddedGraph:
         validation verdict or a transition layout computed for either graph
         serve both; only the weights are checked.
         """
-        w = np.array(weights, dtype=np.float64)
+        try:
+            w = np.array(weights, dtype=np.float64)
+        except OverflowError:  # an int beyond the float range: name its edge
+            w = np.array([_float(x, f"edge {k} weight") for k, x in enumerate(weights)])
         if w.shape != self._weights.shape:
             raise ValueError(
                 f"expected {len(self._weights)} weights, got {len(weights)}"
@@ -262,6 +265,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _float(value, what: str, error: type[Exception] = ValueError) -> float:
+    """``float(value)``; an int beyond the float range raises ``error`` naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} is an integer beyond the float range") from None
+
+
 def _non_finite_vertex(i: int, x: float, y: float) -> ValueError:
     return ValueError(f"vertex {i} has non-finite coordinates ({x}, {y})")
 
@@ -293,7 +304,7 @@ def _coordinates(vertices: Iterable) -> np.ndarray:
     rows = []
     for i, p in enumerate(vertices):
         x, y = (p.x, p.y) if isinstance(p, Point) else p
-        x, y = float(x), float(y)
+        x, y = _float(x, f"vertex {i} x"), _float(y, f"vertex {i} y")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise _non_finite_vertex(i, x, y)
         rows.append((x, y))
@@ -343,7 +354,7 @@ def _edges_one_by_one(items: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
     ends, weights, seen = [], [], set()
     for k, e in enumerate(items):
         u, v, w = (e.u, e.v, e.weight) if isinstance(e, Edge) else e
-        u, v, w = int(u), int(v), float(w)
+        u, v, w = int(u), int(v), _float(w, f"edge {k} weight")
         key = (min(u, v), max(u, v))
         error = _edge_error(k, u, v, w, n, key in seen)
         if error is not None:
@@ -786,10 +797,7 @@ def require_valid_embedding(g: EmbeddedGraph) -> None:
 def _check_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise GraphFormatError(f"{what} is an integer beyond the float range") from None
+    return _float(value, what, GraphFormatError)
 
 
 def _check_int(value, what: str) -> int:

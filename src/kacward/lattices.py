@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import EmbeddedGraph
+from .graph import EmbeddedGraph, _float
 from .transition import _exp, _log_sqrt_det, kac_ward_determinant
 
 
@@ -27,8 +27,12 @@ class IsingInstance:
     couplings: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "couplings", tuple(map(float, self.couplings)))
-        if not math.isfinite(self.beta):
+        try:
+            couplings = tuple(map(float, self.couplings))
+        except OverflowError:  # an int beyond the float range: name it
+            couplings = tuple(_float(c, f"coupling {k}") for k, c in enumerate(self.couplings))
+        object.__setattr__(self, "couplings", couplings)
+        if not math.isfinite(_float(self.beta, "beta")):
             raise ValueError("beta must be finite")
         if len(self.couplings) != self.graph.num_edges:
             raise ValueError(

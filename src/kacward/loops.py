@@ -21,13 +21,15 @@ one step, in walk order, so the weights are the same floats that
 ``walk_weight`` returns.  Every level is in lexicographic order, and a
 lexsort of the levels recovers the depth-first order.  ``_groups`` bounds the
 memory: it hands the walks out in consecutive groups of subtrees, each
-counted from the steps before it is built.  Weighed loops are one record of
-arrays, ``_Loops`` (padded steps, lengths, weights), in lexicographic order,
-with no ``Loop`` object per loop.  The layout's angles raise on no drawing (a
-zero-length edge gets 0 or pi), so the enumerators that ignore weights run
-on graphs with zero-length edges too; ``verify_generic_cancellation`` leaves
-out the steps on edges no loop uses (trees hanging off the graph), and
-refuses a zero-length edge only on a loop.
+counted from the steps before it is built.  ``_walk_record`` joins the
+walks that a caller keeps into one record of arrays, ``_Loops`` (padded
+steps, lengths, weights), in lexicographic order: the weighed loops, with no
+``Loop`` object per loop, and the walks of the public enumerators.  The
+layout's angles raise on no drawing (a zero-length edge gets 0 or pi), so
+every enumerator runs on graphs with zero-length edges too;
+``verify_generic_cancellation`` refuses a zero-length edge only on a loop
+(``_on_loops``), since a loop's weight needs the turning angles at its edges
+and no loop steps onto a tree hanging off the graph.
 
 "Visits" of an edge are counted over the first n entries only, matching the
 weight convention.
@@ -241,17 +243,11 @@ class _Csr(NamedTuple):
     x: np.ndarray
 
 
-def _csr(g: EmbeddedGraph, loops_only: bool = False) -> _Csr:
+def _csr(g: EmbeddedGraph) -> _Csr:
     """The steps of ``g``: the transition layout's ``rows``, ``cols`` and
-    ``angle`` arrays themselves, and ``g``'s weights.  With ``loops_only``
-    every step from or onto an edge no loop uses is left out; the loops stay
-    the same."""
+    ``angle`` arrays themselves, and ``g``'s weights."""
     layout = _layout(g)
     src, succ, angle = layout.rows, layout.cols, layout.angle
-    if loops_only:
-        on = np.array(_on_loops(g), dtype=bool)
-        keep = on[src] & on[succ]
-        src, succ, angle = src[keep], succ[keep], angle[keep]
     n = g.num_directed
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=start[1:])
@@ -443,19 +439,20 @@ def _visits(loops: _Loops, n: int) -> np.ndarray:
     return visits[:, :n]
 
 
+def _walk_record(csr: _Csr, roots: Iterable[int], max_len: int, keep) -> _Loops:
+    """The walks of length 0..max_len from ``roots`` (ascending) that ``keep``
+    marks, as one record in lexicographic order, built a group at a time."""
+    width = max_len + 1
+    groups = _groups(csr, roots, max_len)
+    return _join([_sorted(_pick(group, keep), width) for group in groups], width)
+
+
 def _all_walks(g: EmbeddedGraph, max_len: int, root: int | None, keep) -> list[tuple[int, ...]]:
     """The step tuples of the walks up to ``max_len`` from ``root`` (or from
     every edge) that ``keep`` marks, in lexicographic order."""
     roots = range(g.num_directed) if root is None else (root,)
-    width = max(max_len, 0) + 1
-    walks = []
-    for group in _groups(_csr(g), roots, width - 1):
-        picked = _pick(group, keep)
-        # ``picked`` holds each length's walks in order, level after level.
-        keys = [tuple(row) for rows, _, _ in picked for row in rows.tolist()]
-        length = _sorted(picked, width).length
-        walks += map(keys.__getitem__, np.argsort(np.argsort(length, kind="stable")).tolist())
-    return walks
+    walks = _walk_record(_csr(g), roots, max(max_len, 0), keep)
+    return [tuple(row[: n + 1]) for row, n in zip(walks.steps.tolist(), walks.length.tolist())]
 
 
 def enumerate_walks(
@@ -568,9 +565,7 @@ class GenericCancellationReport:
 
 def _weighed_loops(csr: _Csr, max_len: int) -> _Loops:
     """The loops of length 2..max_len, in lexicographic order."""
-    keep, width = _loops_up_to(max_len), max_len + 1
-    groups = _groups(csr, range(len(csr.x)), max_len)
-    return _join([_sorted(_pick(group, keep), width) for group in groups], width)
+    return _walk_record(csr, range(len(csr.x)), max_len, _loops_up_to(max_len))
 
 
 def _generic_scan(
@@ -617,10 +612,10 @@ def verify_generic_cancellation(
     if not 0 <= e < g.num_directed:
         raise ValueError(f"directed edge {e} out of range")
     _require_convergence(g)
-    csr = _csr(g, loops_only=True)
-    u, v = g._geometry.ends[csr.src >> 1].T  # every edge that a loop uses
+    on = np.array(_on_loops(g), dtype=bool)
+    u, v = g._geometry.ends[on[::2]].T  # every edge that a loop uses
     xy = g._geometry.xy
     if (xy[u] == xy[v]).all(axis=1).any():
         raise ValueError("turning angle undefined for a zero-length edge on a loop")
-    found = _weighed_loops(csr, max_n)
+    found = _weighed_loops(_csr(g), max_n)
     return _generic_scan(g, found, _visits(found, g.num_directed), max_n)[e]

@@ -72,12 +72,6 @@ class DetResult:
     phase: float
 
 
-def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
-    """Assemble the directed-edge transition matrix; validates ``g`` first."""
-    require_valid_embedding(g)
-    return _transition_matrix(g)
-
-
 class _Layout(NamedTuple):
     """What the transition matrix and ``I - T`` take from the drawing alone.
 
@@ -136,8 +130,9 @@ def _layout(g: EmbeddedGraph) -> _Layout:
     return geometry.layout
 
 
-def _transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
-    """The transition matrix of a graph that has been validated."""
+def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
+    """Assemble the directed-edge transition matrix; validates ``g`` first."""
+    require_valid_embedding(g)
     layout = _layout(g)
     values = g._weights[layout.rows >> 1] * layout.phase
     return TransitionMatrix(size=g.num_directed, rows=layout.rows, cols=layout.cols, values=values)

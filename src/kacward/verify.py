@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoration import _decorate
+from .decoration import decorate
 from .graph import EmbeddedGraph, max_degree, require_valid_embedding
 from .loops import (
     Group,
@@ -33,7 +33,7 @@ from .loops import (
     _weigh_steps,
 )
 from .oracle import partition_function_oracle
-from .transition import _transition_matrix, check_convergence_radius
+from .transition import build_transition_matrix, check_convergence_radius
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def _check_decoration(g: EmbeddedGraph, z0: float) -> CheckResult:
     name = "decoration"
     if max_degree(g) <= 3:
         return CheckResult(name, None, "skipped: graph already trivalent")
-    dec = _decorate(g)
+    dec = decorate(g)
     if max_degree(dec.decorated) > 3:
         return CheckResult(name, False, "decorated graph is not trivalent")
     z1 = partition_function_oracle(dec.decorated)
@@ -294,18 +294,19 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check; ``corrupt_transition`` injects a deliberate fault.
 
-    ``g`` is validated once, first, so an invalid drawing is refused before
-    anything else; the decorated graph is validated once more where it is
-    built.  The transition matrix and the oracle's Z are computed once and
-    shared.  Every walk weight comes from the transition layout's steps and
-    turning angles, as the walk enumerator reaches the walk; weight-properties'
-    one pass over the walks also collects the weighed rooted loops, one record
-    of arrays that the other loop checks read, with one visit matrix.
+    ``g`` is validated first, so an invalid drawing is refused before
+    anything else; ``build_transition_matrix`` and ``decorate`` then read its
+    verdict, and the decorated graph is validated where it is built.  The
+    transition matrix and the oracle's Z are computed once and shared.
+    Every walk weight comes from the transition layout's steps and turning
+    angles, as the walk enumerator reaches the walk; weight-properties' one
+    pass over the walks also collects the weighed rooted loops, one record of
+    arrays that the other loop checks read, with one visit matrix.
     A length over ``MAX_LOOP_LEN_CAP`` raises ValueError before any work.
     """
     require_valid_embedding(g)
     _check_len_cap(max_len)
-    tm = _transition_matrix(g).entries
+    tm = build_transition_matrix(g).entries
     z = partition_function_oracle(g)
     kw = _check_kw_vs_oracle(tm, z, corrupt_transition)
     weight_properties, found = _check_weight_properties(g, max_len, _csr(g))

@@ -114,6 +114,25 @@ def test_an_integer_beyond_the_float_range_is_named(vertices, edges, message):
     assert str(info.value) == f"{message} is an integer beyond the float range"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: EmbeddedGraph([(0, 0), (10**400, 0)], [(0, 1, 0.5)]), "vertex 1 x"),
+        (lambda: EmbeddedGraph([Point(0, 0), Point(1, -(10**400))], []), "vertex 1 y"),
+        (lambda: EmbeddedGraph([(0, 0), (1, 0), (1, 1)], [(0, 1, 0.5), (1, 2, 10**400)]),
+         "edge 1 weight"),
+        (lambda: EmbeddedGraph([(0, 0), (1, 0)], [Edge(0, 1, 10**400)]), "edge 0 weight"),
+        (lambda: make_triangle().with_weights([0.5, 0.5, -(10**400)]), "edge 2 weight"),
+    ],
+    ids=["coordinate", "point", "weight", "edge-object", "with-weights"],
+)
+def test_library_callers_get_an_integer_beyond_the_float_range_named(make, message):
+    # Worded as ``loads_graph`` words it, and a ValueError, not OverflowError.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == f"{message} is an integer beyond the float range"
+
+
 def test_signed_zeros_give_equal_graphs_and_hashes():
     g = EmbeddedGraph([(0.0, -0.0), (1.0, 0.0)], [(0, 1, 0.0)])
     h = EmbeddedGraph([(-0.0, 0.0), (1.0, -0.0)], [(0, 1, -0.0)])

@@ -229,6 +229,17 @@ def test_instance_validates_inputs():
         IsingInstance(graph=g, beta=1.0, couplings=(1.0,))
 
 
+@pytest.mark.parametrize(
+    "beta, couplings, message",
+    [(10**400, (1.0, 1.0), "beta"), (1.0, (1.0, -(10**400)), "coupling 1")],
+    ids=["beta", "coupling"],
+)
+def test_instance_names_an_integer_beyond_the_float_range(beta, couplings, message):
+    with pytest.raises(ValueError) as info:
+        IsingInstance(graph=make_path3(), beta=beta, couplings=couplings)
+    assert str(info.value) == f"{message} is an integer beyond the float range"
+
+
 def test_log_partition_monotone_in_beta():
     for g in (gen_square(2, 2, 0.0), gen_hex(2, 2, 0.0)):
         betas = np.linspace(0.0, 1.5, 7)

@@ -33,6 +33,7 @@ from conftest import (
     make_path3,
     make_square_cycle,
     make_triangle,
+    make_wheel,
     walk_counts,
 )
 
@@ -309,6 +310,28 @@ def test_enumerators_reject_bad_roots():
         enumerate_rooted_loops(g, 3, root=-1)
     assert [w.steps for w in enumerate_walks(g, -1)] == [(d,) for d in range(6)]
     assert enumerate_rooted_loops(g, 2) == []
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+@pytest.mark.parametrize("make, max_len", [(make_bowtie, 8), (lambda w: make_wheel(6, w), 6)])
+def test_enumerators_give_the_same_lists_in_split_groups(monkeypatch, cap, make, max_len):
+    # With a cap of 1 every walk is a group of its own; with 7, consecutive
+    # subtrees share a group and larger ones are split.
+    g = make(0.25)
+    root = g.num_directed - 1
+
+    def lists():
+        return (
+            enumerate_walks(g, max_len),
+            enumerate_walks(g, max_len, start=root),
+            enumerate_rooted_loops(g, max_len),
+            enumerate_rooted_loops(g, max_len, root=root),
+        )
+
+    whole = lists()
+    monkeypatch.setattr(loops, "_GROUP_CAP", cap)
+    assert lists() == whole
+    assert all(whole)
 
 
 def prefix_weight_mismatches(g, max_len, csr):

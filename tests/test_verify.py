@@ -176,12 +176,15 @@ def test_every_loop_reaches_the_other_checks_after_an_early_failure(monkeypatch)
 def test_suite_builds_the_transition_matrix_and_the_oracle_once(monkeypatch):
     # kw-vs-oracle and trace-identity share one T, and kw-vs-oracle corrupts
     # its own I - T; kw-vs-oracle and decoration share the oracle's Z of g.
+    # T and the decoration come through the public entry points.
     g = make_bowtie(0.25)
-    builds = count_calls(monkeypatch, verify, "_transition_matrix")
+    builds = count_calls(monkeypatch, verify, "build_transition_matrix")
+    decorations = count_calls(monkeypatch, verify, "decorate")
     oracles = count_calls(monkeypatch, verify, "partition_function_oracle")
     results = run_suite(g, 6, corrupt_transition=True)
     assert [r.status for r in results] == ["FAIL"] + ["pass"] * 5
-    assert len(builds) == 1
+    assert [args[0] is g for args in builds] == [True]
+    assert [args[0] is g for args in decorations] == [True]
     assert [args[0] is g for args in oracles] == [True, False]  # g, then its decoration
 
 
@@ -487,15 +490,6 @@ def test_suite_refuses_a_length_over_the_cap(monkeypatch):
     monkeypatch.setattr(verify, "_csr", unreachable)
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_LOOP_LEN_CAP}"):
         run_suite(make_triangle(0.25), MAX_LOOP_LEN_CAP + 1)
-
-
-def test_loops_only_table_keeps_every_loop_and_its_weight(corpus):
-    for g, max_len in budgeted_cases(corpus):
-        full = loops._csr(g)
-        pruned = loops._csr(g, loops_only=True)
-        assert listed(loops._weighed_loops(pruned, max_len)) == (
-            listed(loops._weighed_loops(full, max_len))
-        )
 
 
 def dumbbell_with_pendant(pendant_length):
