@@ -7,6 +7,10 @@ onto the fan; consecutive fan vertices (in clockwise order) are joined by
 weight-1 edges, with the closing chord deliberately absent.  The result is
 a graph of maximum degree 3 with the same even-subgraph generating function
 and the same loop weights, which is what ``lift_loop`` realizes walk by walk.
+
+Each fan follows the drawing's exact clockwise rotation, and all of it runs
+on the geometry arrays; the edge lengths and clearances that reach the
+output come from ``math.hypot``, as numpy's ``hypot`` may round otherwise.
 """
 
 from __future__ import annotations
@@ -14,12 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidEmbeddingError
-from .graph import EmbeddedGraph, Point, require_valid_embedding
+from .graph import EmbeddedGraph, _checked_graph, _clockwise_rotation, require_valid_embedding
 from .loops import Loop, _check_in_graph
 
 # Fan radius as a fraction of the available clearance around the vertex.
 _RADIUS_FRACTION = 0.25
+
+# numpy's hypot may differ from math.hypot in the last bit; every distance
+# within this relative margin of numpy's minimum is measured again by math.
+_HYPOT_MARGIN = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,10 @@ class Decoration:
     ``unit_edges`` lists the added weight-1 edges.  ``vertex_fan`` maps each
     replaced original vertex to its clockwise-ordered fan of new vertex ids,
     and ``vertex_image`` maps each untouched original vertex to its new id.
+
+    ``lift_loop`` relies on the indices: ``edge_map`` is ``tuple(range(|E|))``,
+    and the unit edges are the ids from ``|E|`` on, fan by fan by ascending
+    vertex, edge ``i`` of a fan joining ``vertex_fan[v][i]`` to ``[i + 1]``.
     """
 
     decorated: EmbeddedGraph
@@ -41,46 +55,28 @@ class Decoration:
     vertex_image: dict[int, int]
 
 
-def _clockwise_fan_order(g: EmbeddedGraph, v: int) -> list[int]:
-    """Directed edges out of ``v`` ordered clockwise, starting just above angle 0.
-
-    Clockwise means decreasing mathematical angle; the first neighbor is the
-    one with the smallest nonnegative direction angle.  The starting choice
-    only fixes which chord of the fan is omitted; any choice is valid.
+def _clearances(geometry, hubs: list[int]) -> list[float]:
+    """Distance from each vertex of ``hubs`` to its nearest non-incident edge
+    (inf if none), found by numpy and measured by ``math.hypot``.  No edge
+    has zero length; one whose squared length underflows gets an endpoint's.
     """
-    def angle_of(d: int) -> float:
-        dx, dy = g.direction(d)
-        a = math.atan2(dy, dx)
-        return a if a >= 0 else a + 2 * math.pi
-
-    outs = sorted(g.out_edges(v), key=angle_of)
-    return [outs[0]] + sorted(outs[1:], key=angle_of, reverse=True)
-
-
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ax, ay = b.x - a.x, b.y - a.y
-    px, py = p.x - a.x, p.y - a.y
-    denom = ax * ax + ay * ay
-    if denom == 0.0:
-        return math.hypot(px, py)
-    t = max(0.0, min(1.0, (px * ax + py * ay) / denom))
-    return math.hypot(px - t * ax, py - t * ay)
-
-
-def _fan_radius(g: EmbeddedGraph, v: int) -> float:
-    p = g.vertices[v]
-    shortest = min(
-        math.hypot(*g.direction(d)) for d in g.out_edges(v)
-    )
-    clearance = math.inf
-    for e in g.edges:
-        if e.u == v or e.v == v:
-            continue
-        clearance = min(
-            clearance,
-            _point_segment_distance(p, g.vertices[e.u], g.vertices[e.v]),
-        )
-    return _RADIUS_FRACTION * min(shortest, clearance)
+    xy, ends, ptr = geometry.xy, geometry.ends, geometry.out_ptr
+    a = xy[ends[:, 0]]
+    ax, ay = (xy[ends[:, 1]] - a).T
+    length2 = ax * ax + ay * ay
+    clearance = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for v in hubs:
+            px, py = xy[v, 0] - a[:, 0], xy[v, 1] - a[:, 1]
+            # fmin and fmax turn a nan into the bound, as min and max do.
+            t = np.fmax(0.0, np.fmin(1.0, (px * ax + py * ay) / length2))
+            dx, dy = px - t * ax, py - t * ay
+            dx[geometry.out_ids[ptr[v] : ptr[v + 1]] >> 1] = math.inf  # incident
+            dist = np.hypot(dx, dy)
+            close = (dist <= np.fmin.reduce(dist) * (1.0 + _HYPOT_MARGIN)).nonzero()[0]
+            near = map(math.hypot, dx[close].tolist(), dy[close].tolist())
+            clearance.append(min(near, default=math.inf))
+    return clearance
 
 
 def decorate(g: EmbeddedGraph) -> Decoration:
@@ -88,85 +84,53 @@ def decorate(g: EmbeddedGraph) -> Decoration:
 
     Validates ``g`` first, and the decorated graph once it is built."""
     require_valid_embedding(g)
-    fanned = [v for v in range(g.num_vertices) if g.degree(v) > 3]
-    if not fanned:
-        return Decoration(
-            decorated=g,
-            edge_map=tuple(range(g.num_edges)),
-            unit_edges=(),
-            vertex_fan={},
-            vertex_image={v: v for v in range(g.num_vertices)},
-        )
+    geometry = g._geometry
+    xy, ptr, flat = geometry.xy, geometry.out_ptr, geometry.ends.reshape(-1)
+    degree = ptr[1:] - ptr[:-1]
+    fanned = degree > 3
+    if not fanned.any():
+        identity = range(g.num_vertices)
+        return Decoration(g, tuple(range(g.num_edges)), (), {}, dict(zip(identity, identity)))
 
-    fan_set = set(fanned)
-    new_points: list[Point] = []
-    vertex_image: dict[int, int] = {}
-    for v in range(g.num_vertices):
-        if v not in fan_set:
-            vertex_image[v] = len(new_points)
-            new_points.append(g.vertices[v])
+    # One fan vertex per directed edge out of a fanned vertex, fan by fan,
+    # clockwise, on a circle of radius eps(v) toward the neighbor.
+    rotation = _clockwise_rotation(geometry)
+    fan = rotation[fanned[flat[rotation]]]
+    hub = flat[fan]
+    direction = xy[flat[fan ^ 1]] - xy[hub]
+    norm = np.array([math.hypot(x, y) for x, y in direction.tolist()])
+    hubs = fanned.nonzero()[0]
+    size = degree[hubs]
+    first = np.cumsum(size) - size  # where each hub's fan starts in ``fan``
+    shortest = np.minimum.reduceat(norm, first)
+    eps = _RADIUS_FRACTION * np.minimum(shortest, _clearances(geometry, hubs.tolist()))
+    if not (eps > 0).all():
+        v = hubs[np.argmin(eps > 0)]
+        raise InvalidEmbeddingError(f"cannot place a fan around vertex {v}: no clearance")
+    points = xy[hub] + np.repeat(eps, size)[:, None] * direction / norm[:, None]
 
-    # One fan vertex per incident directed edge, on a circle of radius
-    # eps(v) in the direction of the neighbor, clockwise order.
-    vertex_fan: dict[int, tuple[int, ...]] = {}
-    fan_vertex_of: dict[int, int] = {}  # outgoing directed id -> new vertex id
-    for v in fanned:
-        eps = _fan_radius(g, v)
-        if not eps > 0:
-            raise InvalidEmbeddingError(
-                f"cannot place a fan around vertex {v}: no clearance"
-            )
-        p = g.vertices[v]
-        ids = []
-        for d in _clockwise_fan_order(g, v):
-            dx, dy = g.direction(d)
-            norm = math.hypot(dx, dy)
-            ids.append(len(new_points))
-            fan_vertex_of[d] = len(new_points)
-            new_points.append(Point(p.x + eps * dx / norm, p.y + eps * dy / norm))
-        vertex_fan[v] = tuple(ids)
-
-    def image_endpoint(d: int) -> int:
-        # New endpoint that directed edge d leaves from.
-        t = g.tail(d)
-        return fan_vertex_of[d] if t in fan_set else vertex_image[t]
-
-    new_edges: list[tuple[int, int, float]] = []
-    edge_map = []
-    for k, e in enumerate(g.edges):
-        edge_map.append(len(new_edges))
-        new_edges.append((image_endpoint(2 * k), image_endpoint(2 * k + 1), e.weight))
-
-    unit_edges = []
-    for v in fanned:
-        fan = vertex_fan[v]
-        for a, b in zip(fan, fan[1:]):
-            unit_edges.append(len(new_edges))
-            new_edges.append((a, b, 1.0))
-
-    decorated = EmbeddedGraph(new_points, new_edges)
+    kept = (~fanned).nonzero()[0]
+    leaves = (np.cumsum(~fanned) - 1)[flat]  # the new vertex each directed edge leaves
+    leaves[fan] = len(kept) + np.arange(len(fan))
+    link = (hub[1:] == hub[:-1]).nonzero()[0] + len(kept)
+    us = np.concatenate((leaves[0::2], link))
+    vs = np.concatenate((leaves[1::2], link + 1))
+    weights = np.concatenate((g._weights, np.ones(len(link))))
+    decorated = _checked_graph(np.concatenate((xy[kept], points)), us, vs, weights)
     try:
         require_valid_embedding(decorated)
     except InvalidEmbeddingError as exc:
         raise InvalidEmbeddingError(f"decorated graph: {exc}") from exc
+    starts = (len(kept) + first).tolist()
     return Decoration(
         decorated=decorated,
-        edge_map=tuple(edge_map),
-        unit_edges=tuple(unit_edges),
-        vertex_fan=vertex_fan,
-        vertex_image=vertex_image,
+        edge_map=tuple(range(g.num_edges)),
+        unit_edges=tuple(range(g.num_edges, g.num_edges + len(link))),
+        vertex_fan={
+            v: tuple(range(s, s + k)) for v, s, k in zip(hubs.tolist(), starts, size.tolist())
+        },
+        vertex_image=dict(zip(kept.tolist(), range(len(kept)))),
     )
-
-
-def _mapped_directed(d: Decoration, step: int) -> int:
-    return 2 * d.edge_map[step >> 1] + (step & 1)
-
-
-def _find_directed(g: EmbeddedGraph, tail: int, head: int) -> int:
-    for cand in g.out_edges(tail):
-        if g.head(cand) == head:
-            return cand
-    raise RuntimeError(f"no directed edge {tail} -> {head} in decorated graph")
 
 
 def lift_loop(d: Decoration, l: Loop) -> Loop:
@@ -177,6 +141,10 @@ def lift_loop(d: Decoration, l: Loop) -> Loop:
     product is preserved exactly (the inserted edges weigh 1) and the
     turning-angle sum is preserved because fan vertices sit on the rays
     toward their neighbors, so the inserted turns telescope.
+
+    Directed ids keep their numbers, and a fan step from position ``i`` to
+    ``i + 1`` is ``2 * (base + i)``, back ``2 * (base + i) + 1``, for ``base``
+    the fan's first unit edge (see ``Decoration``).
     """
     g = d.decorated
     n_orig = 2 * len(d.edge_map)
@@ -184,36 +152,29 @@ def lift_loop(d: Decoration, l: Loop) -> Loop:
         if not 0 <= s < n_orig:
             raise ValueError(f"directed edge id {s} out of range for the original graph")
 
-    # New fan vertex -> (original vertex, position in its fan).
+    # New fan vertex -> (first unit edge of its fan, position in the fan).
     fan_position: dict[int, tuple[int, int]] = {}
-    for orig, fan in d.vertex_fan.items():
+    unit = len(d.edge_map)
+    for fan in d.vertex_fan.values():
         for i, nv in enumerate(fan):
-            fan_position[nv] = (orig, i)
+            fan_position[nv] = (unit, i)
+        unit += len(fan) - 1
 
-    steps = l.steps
-    out: list[int] = [_mapped_directed(d, steps[0])]
-    for i in range(len(steps) - 1):
-        nxt = _mapped_directed(d, steps[i + 1])
-        arrive = g.head(out[-1])
-        depart = g.tail(nxt)
+    out: list[int] = [l.steps[0]]
+    for nxt in l.steps[1:]:
+        arrive, depart = g.head(out[-1]), g.tail(nxt)
         if arrive != depart:
             # Passage through a fan: walk the unit path from arrive to depart.
-            if arrive not in fan_position or depart not in fan_position:
+            base, a = fan_position.get(arrive, (None, 0))
+            other, b = fan_position.get(depart, (None, 0))
+            if base is None or base != other:
                 raise RuntimeError(
                     f"lift cannot connect {arrive} to {depart} in the decorated graph"
                 )
-            orig, a = fan_position[arrive]
-            orig2, b = fan_position[depart]
-            if orig != orig2:
-                raise RuntimeError(
-                    f"lift cannot connect {arrive} to {depart} in the decorated graph"
-                )
-            fan = d.vertex_fan[orig]
-            direction = 1 if b > a else -1
-            cur = a
-            while cur != b:
-                out.append(_find_directed(g, fan[cur], fan[cur + direction]))
-                cur += direction
+            if a < b:
+                out.extend(2 * (base + i) for i in range(a, b))
+            else:
+                out.extend(2 * (base + i) + 1 for i in range(a - 1, b - 1, -1))
         out.append(nxt)
 
     lifted = Loop(tuple(out))

@@ -12,11 +12,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, InvalidEmbeddingError
 
 
 @dataclass(frozen=True)
@@ -388,30 +389,34 @@ def _checked_ends(us: Sequence[int], vs: Sequence[int], weights: np.ndarray, n: 
     return ends
 
 
+def _checked_graph(xy: np.ndarray, us, vs, weights: np.ndarray) -> EmbeddedGraph:
+    """The graph of ``xy`` and the edge columns; raises the constructor's ``ValueError``."""
+    _check_finite(xy)
+    ends = _checked_ends(us, vs, weights, len(xy))
+    return _fill(object.__new__(EmbeddedGraph), _Geometry(xy, ends), weights)
+
+
 def max_degree(g: EmbeddedGraph) -> int:
     """Maximum vertex degree (0 for a graph without edges)."""
     return max(g.degrees, default=0)
 
 
 def connected_components(g: EmbeddedGraph) -> int:
-    """Number of connected components, isolated vertices included."""
-    n = g.num_vertices
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for d in g.out_edges(v):
-                h = g.head(d)
-                if not seen[h]:
-                    seen[h] = True
-                    stack.append(h)
-    return count
+    """Number of connected components, isolated vertices included.
+
+    Each vertex takes the least label among its own and its neighbors', then
+    its label's label, until no label changes; each component's vertices
+    then share the label of one of them."""
+    u, v = g._geometry.ends.T
+    label = np.arange(g.num_vertices)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, u, label[v])
+        np.minimum.at(low, v, label[u])
+        low = low[low]
+        if (low == label).all():
+            return len(np.unique(label))
+        label = low
 
 
 # -- turning angles ------------------------------------------------------
@@ -429,6 +434,41 @@ def _turning_angles(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
     angle[angle == -math.pi] = math.pi
     return angle
+
+
+# A float angle of ``_clockwise_rotation`` is within about 1e-15 of the exact
+# one (displacement, arctangent and shift by 2 pi round by a few ulps each),
+# so angles further apart than this are in exact order.
+_ANGLE_TIE = 1e-12
+
+
+def _clockwise_rotation(geometry: _Geometry) -> np.ndarray:
+    """``out_ids`` reordered under the same ``out_ptr``: the out-edges of each
+    vertex clockwise, the smallest direction angle in [0, 2 pi) first, then
+    the others by decreasing angle.  A run of float angles within
+    ``_ANGLE_TIE`` of each other spans far less than pi, so ``_orient`` puts
+    it in exact order: float rounding never decides the order.
+    """
+    xy, ids, ptr = geometry.xy, geometry.out_ids, geometry.out_ptr
+    flat = geometry.ends.reshape(-1)
+    tails, heads = flat[ids], flat[ids ^ 1]  # tails ascend, as ``ids`` is CSR
+    d = xy[heads] - xy[tails]
+    angle = np.arctan2(d[:, 1], d[:, 0])
+    angle[angle < 0] += 2 * math.pi
+    order = np.lexsort((angle, tails))
+    ids, heads, angle = ids[order], heads[order], angle[order]
+    tie = (angle[1:] - angle[:-1] <= _ANGLE_TIE) & (tails[1:] == tails[:-1])
+    if tie.any():
+        bounds = np.diff(tie, prepend=False, append=False).nonzero()[0].reshape(-1, 2)
+        for start, stop in bounds.tolist():
+            run = slice(start, stop + 1)
+            hub, ends = Point(*xy[tails[start]].tolist()), xy[heads[run]].tolist()
+            head = {e: Point(*p) for e, p in zip(ids[run].tolist(), ends)}
+            ids[run] = sorted(head, key=cmp_to_key(lambda e, f: -_orient(hub, head[e], head[f])))
+    # Ascending angle to clockwise: the first stays, the rest reverse.
+    first = ptr[tails]
+    rank = np.arange(len(ids)) - first
+    return ids[np.where(rank == 0, first, ptr[tails + 1] - rank)]
 
 
 def turning_angle(g: EmbeddedGraph, e: int, f: int) -> float:
@@ -774,8 +814,6 @@ def validate_embedding(g: EmbeddedGraph) -> ValidationReport:
 
 def require_valid_embedding(g: EmbeddedGraph) -> None:
     """Raise InvalidEmbeddingError if the graph fails validation."""
-    from .errors import InvalidEmbeddingError
-
     report = validate_embedding(g)
     if not report.ok:
         first = report.violations[0]
@@ -866,11 +904,9 @@ def loads_graph(text: str) -> EmbeddedGraph:
     except OverflowError:  # an int beyond the float range: name its row
         _raise_first_format_error(vertices, edges)
     try:
-        _check_finite(xy)
-        ends = _checked_ends(us, vs, weights, len(xy))
+        return _checked_graph(xy, us, vs, weights)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-    return _fill(object.__new__(EmbeddedGraph), _Geometry(xy, ends), weights)
 
 
 def dumps_graph(g: EmbeddedGraph) -> str:

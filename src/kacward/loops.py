@@ -21,12 +21,13 @@ one step, in walk order, so the weights are the same floats that
 ``walk_weight`` returns.  Every level is in lexicographic order, and a
 lexsort of the levels recovers the depth-first order.  ``_groups`` bounds the
 memory: it hands the walks out in consecutive groups of subtrees, each
-counted from the steps before it is built.  ``_walk_record`` joins the
-walks that a caller keeps into one record of arrays, ``_Loops`` (padded
-steps, lengths, weights), in lexicographic order: the weighed loops, with no
-``Loop`` object per loop, and the walks of the public enumerators.  The
-layout's angles raise on no drawing (a zero-length edge gets 0 or pi), so
-every enumerator runs on graphs with zero-length edges too;
+counted from the steps before it is built.  Each group's kept walks are
+sorted into a record of arrays, ``_Loops`` (padded steps, lengths,
+weights), in lexicographic order; ``_weighed_loops`` joins the records of the
+loops into one, with no ``Loop`` object per loop, and the public enumerators
+turn each record into step tuples as it is sorted.  The layout's angles
+raise on no drawing (a zero-length edge gets 0 or pi), so every enumerator
+runs on graphs with zero-length edges too;
 ``verify_generic_cancellation`` refuses a zero-length edge only on a loop
 (``_on_loops``), since a loop's weight needs the turning angles at its edges
 and no loop steps onto a tree hanging off the graph.
@@ -439,20 +440,18 @@ def _visits(loops: _Loops, n: int) -> np.ndarray:
     return visits[:, :n]
 
 
-def _walk_record(csr: _Csr, roots: Iterable[int], max_len: int, keep) -> _Loops:
-    """The walks of length 0..max_len from ``roots`` (ascending) that ``keep``
-    marks, as one record in lexicographic order, built a group at a time."""
-    width = max_len + 1
-    groups = _groups(csr, roots, max_len)
-    return _join([_sorted(_pick(group, keep), width) for group in groups], width)
-
-
 def _all_walks(g: EmbeddedGraph, max_len: int, root: int | None, keep) -> list[tuple[int, ...]]:
     """The step tuples of the walks up to ``max_len`` from ``root`` (or from
-    every edge) that ``keep`` marks, in lexicographic order."""
+    every edge) that ``keep`` marks, in lexicographic order; each group's
+    record becomes tuples as soon as it is sorted."""
     roots = range(g.num_directed) if root is None else (root,)
-    walks = _walk_record(_csr(g), roots, max(max_len, 0), keep)
-    return [tuple(row[: n + 1]) for row, n in zip(walks.steps.tolist(), walks.length.tolist())]
+    max_len = max(max_len, 0)
+    walks = []
+    for group in _groups(_csr(g), roots, max_len):
+        part = _sorted(_pick(group, keep), max_len + 1)
+        rows, lengths = part.steps.tolist(), part.length.tolist()
+        walks.extend(tuple(row[: n + 1]) for row, n in zip(rows, lengths))
+    return walks
 
 
 def enumerate_walks(
@@ -564,8 +563,11 @@ class GenericCancellationReport:
 
 
 def _weighed_loops(csr: _Csr, max_len: int) -> _Loops:
-    """The loops of length 2..max_len, in lexicographic order."""
-    return _walk_record(csr, range(len(csr.x)), max_len, _loops_up_to(max_len))
+    """The loops of length 2..max_len, as one record in lexicographic order,
+    built a group at a time."""
+    keep, width = _loops_up_to(max_len), max_len + 1
+    groups = _groups(csr, range(len(csr.x)), max_len)
+    return _join([_sorted(_pick(group, keep), width) for group in groups], width)
 
 
 def _generic_scan(

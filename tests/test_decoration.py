@@ -3,6 +3,7 @@
 import pytest
 
 from kacward import (
+    EmbeddedGraph,
     connected_components,
     cycle_space_basis,
     decorate,
@@ -15,7 +16,21 @@ from kacward import (
     validate_embedding,
     walk_weight,
 )
+from kacward.graph import _clockwise_rotation
 from conftest import make_bowtie, make_square_cycle, make_triangle, make_wheel
+
+
+def make_tied_hub(second_first=False):
+    """A degree-5 hub whose spokes to (-1, 1e-17) and (-1, 2e-17) tie under
+    atan2 rounding, listed in either order, with three rim edges."""
+    spokes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-17), (-1.0, 2e-17), (0.0, -1.0)]
+    upper, lower = 4, 3
+    if second_first:
+        spokes[2], spokes[3] = spokes[3], spokes[2]
+        upper, lower = lower, upper
+    edges = [(0, k + 1, 0.5) for k in range(5)]
+    edges += [(1, 2, 0.4), (2, upper, 0.3), (5, 1, 0.6), (5, lower, 0.7)]
+    return EmbeddedGraph([(0.0, 0.0)] + spokes, edges)
 
 
 def make_star5_with_cycle():
@@ -97,6 +112,45 @@ def test_wheel6_becomes_trivalent():
     assert validate_embedding(dec.decorated).ok
     assert dec.decorated.num_vertices == 6 + 6
     assert dec.decorated.num_edges == 12 + 5
+
+
+def test_fans_of_spokes_that_tie_in_floats_are_in_exact_order():
+    for second_first in (False, True):
+        g = make_tied_hub(second_first)
+        assert validate_embedding(g).ok
+        dec = decorate(g)
+        assert max_degree(dec.decorated) == 3
+        assert validate_embedding(dec.decorated).ok
+        assert partition_function_oracle(dec.decorated) == pytest.approx(
+            partition_function_oracle(g), rel=1e-12
+        )
+        # Every loop lifts.  Weights are not compared: the turn from one tied
+        # spoke back out along the other is -pi + 1e-17, which the float
+        # turning angle of the undecorated drawing rounds to +pi.
+        for l in enumerate_rooted_loops(g, 6):
+            lift_loop(dec, l)
+
+
+@pytest.mark.parametrize("spokes", [4, 5, 6, 200])
+def test_decoration_indices_follow_the_fans_in_rotation_order(spokes, corpus):
+    for g in [make_wheel(spokes)] + corpus:
+        dec = decorate(g)
+        m = g.num_edges
+        assert dec.edge_map == tuple(range(m))
+        assert dec.unit_edges == tuple(range(m, dec.decorated.num_edges))
+        assert list(dec.vertex_fan) == sorted(dec.vertex_fan)
+        ends = dec.decorated._geometry.ends.tolist()
+        fans = dec.vertex_fan.values()
+        joins = [[fan[i], fan[i + 1]] for fan in fans for i in range(len(fan) - 1)]
+        assert ends[m:] == joins
+        ptr = g._geometry.out_ptr
+        rotation = _clockwise_rotation(g._geometry)
+        for v, fan in dec.vertex_fan.items():
+            # Fan position i carries the i-th out-edge of v in clockwise order.
+            out = rotation[ptr[v] : ptr[v + 1]].tolist()
+            assert [ends[d >> 1][d & 1] for d in out] == list(fan)
+        for v, image in dec.vertex_image.items():
+            assert dec.decorated.vertices[image] == g.vertices[v]
 
 
 # -- generating function preservation ---------------------------------------------

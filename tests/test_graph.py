@@ -11,8 +11,10 @@ from kacward import (
     EmbeddedGraph,
     GraphFormatError,
     Point,
+    connected_components,
     dumps_graph,
     edge_index,
+    gen_hex,
     gen_square,
     loads_graph,
     max_degree,
@@ -20,7 +22,8 @@ from kacward import (
     turning_angle,
     validate_embedding,
 )
-from conftest import make_bowtie, make_single_edge, make_triangle
+from kacward.graph import _clockwise_rotation
+from conftest import make_bowtie, make_single_edge, make_triangle, make_wheel
 
 
 # -- construction ---------------------------------------------------------
@@ -386,6 +389,118 @@ def test_turning_angle_strict_interior_unless_backtracking(corpus):
                     continue
                 a = turning_angle(g, d, f)
                 assert -math.pi < a < math.pi
+
+
+# -- clockwise rotation ----------------------------------------------------
+
+
+def rotations(g):
+    """The out-edges of each vertex in the clockwise rotation."""
+    rotation, ptr = _clockwise_rotation(g._geometry).tolist(), g._geometry.out_ptr.tolist()
+    return [rotation[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def float_fan_order(g, v):
+    """Clockwise order from sorted ``math.atan2`` angles in [0, 2 pi): the
+    smallest first, then the others by decreasing angle, ties by id."""
+
+    def angle_of(d):
+        a = math.atan2(g.direction(d)[1], g.direction(d)[0])
+        return a if a >= 0 else a + 2 * math.pi
+
+    outs = sorted(g.out_edges(v), key=angle_of)
+    return [outs[0]] + sorted(outs[1:], key=angle_of, reverse=True)
+
+
+def face_count(g):
+    """The cycles of next(d), the out-edge that follows ``d ^ 1`` in the
+    clockwise rotation at the head of ``d``: the faces of each component."""
+    fans = rotations(g)
+
+    def nxt(d):
+        fan = fans[g.head(d)]
+        return fan[(fan.index(d ^ 1) + 1) % len(fan)]
+
+    seen, faces = [False] * g.num_directed, 0
+    for d in range(g.num_directed):
+        faces += not seen[d]
+        while not seen[d]:
+            seen[d] = True
+            d = nxt(d)
+    return faces
+
+
+def rotation_graphs(corpus):
+    yield from corpus
+    for L in range(1, 17):
+        yield gen_square(L, L, 0.5)
+        yield gen_hex(L, L, 0.5)
+    for spokes in (3, 4, 5, 6, 200):
+        yield make_wheel(spokes)
+
+
+def test_rotation_is_the_float_fan_order_away_from_ties(corpus):
+    for g in rotation_graphs(corpus):
+        for v, fan in enumerate(rotations(g)):
+            if fan:
+                assert fan == float_fan_order(g, v)
+
+
+def test_eulers_formula_holds_for_the_rotations_faces(corpus):
+    # A cross-check of the rotation, not of the drawing: V - E + F = 2 per
+    # component, an isolated vertex being a component without faces.
+    for g in rotation_graphs(corpus):
+        isolated = g.degrees.count(0)
+        faces = face_count(g)
+        assert g.num_vertices - g.num_edges + faces + isolated == 2 * connected_components(g)
+
+
+def components_by_search(g):
+    """Reference: connected components by depth-first search, isolated vertices included."""
+    seen, count = [False] * g.num_vertices, 0
+    for start in range(g.num_vertices):
+        if seen[start]:
+            continue
+        count += 1
+        stack, seen[start] = [start], True
+        while stack:
+            for d in g.out_edges(stack.pop()):
+                if not seen[g.head(d)]:
+                    seen[g.head(d)] = True
+                    stack.append(g.head(d))
+    return count
+
+
+def test_connected_components_match_a_depth_first_search(corpus):
+    rng = np.random.default_rng(5)
+    sparse = []
+    for n in rng.integers(0, 40, size=100).tolist():
+        pairs = {tuple(sorted(p)) for p in rng.integers(0, max(n, 1), size=(n, 2)).tolist()}
+        edges = [(u, v, 0.5) for u, v in pairs if u != v]
+        sparse.append(EmbeddedGraph(rng.uniform(0, 1, size=(n, 2)), edges))
+    for g in [*rotation_graphs(corpus), *sparse]:
+        assert connected_components(g) == components_by_search(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rotation_orders_directions_that_tie_in_floats_exactly(seed):
+    # Clockwise from the smallest angle, 0.  The directions near 0, near pi
+    # and near 2 pi each tie under atan2 rounding or lie within 1e-12.
+    clockwise = [
+        (1.0, 0.0),
+        (1.0, -1e-300),
+        (1.0, -1e-17),
+        (1.0, -2e-17),
+        (-1.0, 1e-17),
+        (-1.0, 2e-17),
+        (1.0, 2e-17),
+        (1.0, 1e-17),
+        (1.0, 1e-300),
+    ]
+    listed = [clockwise[i] for i in np.random.default_rng(seed).permutation(len(clockwise))]
+    g = EmbeddedGraph([(0.0, 0.0)] + listed, [(0, k + 1, 0.5) for k in range(len(listed))])
+    assert validate_embedding(g).ok
+    assert [listed[d >> 1] for d in rotations(g)[0]] == clockwise
 
 
 # -- degrees ---------------------------------------------------------------
