@@ -44,8 +44,9 @@ class Decoration:
     and ``vertex_image`` maps each untouched original vertex to its new id.
 
     ``lift_loop`` relies on the indices: ``edge_map`` is ``tuple(range(|E|))``,
-    and the unit edges are the ids from ``|E|`` on, fan by fan by ascending
-    vertex, edge ``i`` of a fan joining ``vertex_fan[v][i]`` to ``[i + 1]``.
+    the fan vertices are the ids from ``len(vertex_image)`` on and the unit
+    edges the ids from ``|E|`` on, both fan by fan by ascending vertex, edge
+    ``i`` of a fan joining ``vertex_fan[v][i]`` to ``[i + 1]``.
     """
 
     decorated: EmbeddedGraph
@@ -152,29 +153,22 @@ def lift_loop(d: Decoration, l: Loop) -> Loop:
         if not 0 <= s < n_orig:
             raise ValueError(f"directed edge id {s} out of range for the original graph")
 
-    # New fan vertex -> (first unit edge of its fan, position in the fan).
-    fan_position: dict[int, tuple[int, int]] = {}
-    unit = len(d.edge_map)
-    for fan in d.vertex_fan.values():
-        for i, nv in enumerate(fan):
-            fan_position[nv] = (unit, i)
-        unit += len(fan) - 1
+    # Fan vertex w is in fan ``fan[w]`` (-1 for a kept vertex), joined to
+    # w + 1 of its fan by unit edge ``unit[w]``.
+    kept = len(d.vertex_image)
+    fan = np.full(g.num_vertices, -1)
+    fan[kept:] = np.repeat(np.arange(len(d.vertex_fan)), [len(f) for f in d.vertex_fan.values()])
+    unit = len(d.edge_map) - kept + np.arange(g.num_vertices) - fan
 
+    steps = np.array(l.steps, dtype=np.intp)
+    flat = g._geometry.ends.reshape(-1)
     out: list[int] = [l.steps[0]]
-    for nxt in l.steps[1:]:
-        arrive, depart = g.head(out[-1]), g.tail(nxt)
-        if arrive != depart:
-            # Passage through a fan: walk the unit path from arrive to depart.
-            base, a = fan_position.get(arrive, (None, 0))
-            other, b = fan_position.get(depart, (None, 0))
-            if base is None or base != other:
-                raise RuntimeError(
-                    f"lift cannot connect {arrive} to {depart} in the decorated graph"
-                )
-            if a < b:
-                out.extend(2 * (base + i) for i in range(a, b))
-            else:
-                out.extend(2 * (base + i) + 1 for i in range(a - 1, b - 1, -1))
+    for a, b, nxt in zip(flat[steps[:-1] ^ 1].tolist(), flat[steps[1:]].tolist(), l.steps[1:]):
+        if a != b:
+            # Passage through a fan: walk the unit path from a to b.
+            if fan[a] < 0 or fan[a] != fan[b]:
+                raise RuntimeError(f"lift cannot connect {a} to {b} in the decorated graph")
+            out.extend((2 * unit[a:b]).tolist() if a < b else (2 * unit[b:a][::-1] + 1).tolist())
         out.append(nxt)
 
     lifted = Loop(tuple(out))

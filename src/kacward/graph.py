@@ -57,13 +57,11 @@ class _Geometry:
     ``ends`` the read-only ``(|E|, 2)`` integer array of endpoints, so
     directed id ``d`` runs from ``ends.flat[d]`` to ``ends.flat[d ^ 1]``;
     ``out_ptr``/``out_ids`` list the directed ids leaving each vertex in
-    ascending order (CSR).  The tuples behind the scalar accessors
-    (``vertices``, ``tails``, ``heads``, ``out``, ``degrees``) are built on
-    first read, once for every graph that shares the record.
-    ``violations`` is the validation verdict; ``layout`` belongs to
+    ascending order (CSR).  ``vertices`` is the tuple of ``Point``s,
+    ``violations`` the validation verdict and ``layout`` belongs to
     :mod:`kacward.transition` (step pattern, turning angles, their
-    half-angle phases and the sparse layout of ``I - T``); both are filled
-    on first use.
+    half-angle phases and the sparse layout of ``I - T``); all three are
+    filled on first use.
     """
 
     __slots__ = (
@@ -72,10 +70,6 @@ class _Geometry:
         "out_ptr",
         "out_ids",
         "vertices",
-        "tails",
-        "heads",
-        "out",
-        "degrees",
         "violations",
         "layout",
         "__weakref__",
@@ -89,26 +83,9 @@ class _Geometry:
         out_ptr = np.zeros(len(xy) + 1, dtype=np.intp)
         np.cumsum(np.bincount(tails, minlength=len(xy)), out=out_ptr[1:])
         self.out_ptr = _frozen(out_ptr)
+        self.vertices = None
         self.violations = None
         self.layout = None
-
-    def __getattr__(self, name):
-        # Reached only for a scalar view that has not been built yet.
-        if name == "vertices":
-            value = tuple(Point(x, y) for x, y in self.xy.tolist())
-        elif name == "tails":
-            value = tuple(self.ends.reshape(-1).tolist())
-        elif name == "heads":
-            value = tuple(self.ends[:, ::-1].reshape(-1).tolist())
-        elif name == "out":
-            ids, ptr = self.out_ids.tolist(), self.out_ptr.tolist()
-            value = tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
-        elif name == "degrees":
-            value = tuple(np.diff(self.out_ptr).tolist())
-        else:
-            raise AttributeError(name)
-        setattr(self, name, value)
-        return value
 
 
 class EmbeddedGraph:
@@ -122,10 +99,9 @@ class EmbeddedGraph:
 
     The drawing is held as arrays in a geometry record (coordinates,
     endpoints and the out-edge CSR) that ``with_weights`` copies share; the
-    weights are a read-only float array beside it.  ``vertices``, ``edges``
-    and the tuples behind ``tail``, ``head``, ``out_edges`` and ``degrees``
-    are built on first read, so constructing a graph makes no ``Point`` or
-    ``Edge``.
+    weights are a read-only float array beside it.  ``vertices`` and
+    ``edges`` are built on first read, so constructing a graph makes no
+    ``Point`` or ``Edge``; the other accessors read the arrays.
     """
 
     __slots__ = (
@@ -146,7 +122,10 @@ class EmbeddedGraph:
 
     @property
     def vertices(self) -> tuple[Point, ...]:
-        return self._geometry.vertices
+        geometry = self._geometry
+        if geometry.vertices is None:
+            geometry.vertices = tuple(Point(x, y) for x, y in geometry.xy.tolist())
+        return geometry.vertices
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -169,20 +148,23 @@ class EmbeddedGraph:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return self._geometry.degrees
+        ptr = self._geometry.out_ptr
+        return tuple((ptr[1:] - ptr[:-1]).tolist())
 
     def degree(self, v: int) -> int:
-        return self._geometry.degrees[v]
+        return len(self.out_edges(v))
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         """Directed edge ids with tail ``v``, in ascending id order."""
-        return self._geometry.out[v]
+        ptr = self._geometry.out_ptr
+        v = range(len(ptr) - 1)[v]  # a negative v counts from the end
+        return tuple(self._geometry.out_ids[ptr.item(v) : ptr.item(v + 1)].tolist())
 
     def tail(self, d: int) -> int:
-        return self._geometry.tails[d]
+        return self._geometry.ends.item(d)
 
     def head(self, d: int) -> int:
-        return self._geometry.heads[d]
+        return self._geometry.ends.item(d ^ 1)
 
     def edge_weight(self, k: int) -> float:
         return self._weights[k].item()
@@ -193,10 +175,8 @@ class EmbeddedGraph:
 
     def direction(self, d: int) -> tuple[float, float]:
         """Displacement vector (head - tail) of directed edge ``d``."""
-        geometry = self._geometry
-        t = geometry.vertices[geometry.tails[d]]
-        h = geometry.vertices[geometry.heads[d]]
-        return h.x - t.x, h.y - t.y
+        xy, t, h = self._geometry.xy, self.tail(d), self.head(d)
+        return xy.item(h, 0) - xy.item(t, 0), xy.item(h, 1) - xy.item(t, 1)
 
     def weights(self) -> tuple[float, ...]:
         return tuple(self._weights.tolist())
@@ -422,17 +402,30 @@ def connected_components(g: EmbeddedGraph) -> int:
 # -- turning angles ------------------------------------------------------
 
 
-def _turning_angles(e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Signed angles in (-pi, pi] from the directions in the rows of ``e`` to
-    those in the rows of ``f``, the one formula for every turning angle.
+# A float turning angle is within about 1e-15 of the exact one, so a turn
+# whose float angle is further than this from +-pi is on the side of its sign.
+_REVERSAL_TIE = 1e-14
 
-    Computed from the cross and dot products of the two direction vectors;
-    an exact -pi (direct reversal) is mapped to +pi to honor the half-open
-    interval.  A zero vector gets 0 or pi, not an error.
+
+def _turning_angles(xy: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signed angles in (-pi, pi] of the turns from ``a[i]`` through ``b[i]``
+    to ``c[i]`` (vertex indices into the coordinate array ``xy``), the one
+    formula for every turning angle.
+
+    Computed from the cross and dot products of ``b - a`` and ``c - b``.  A
+    float angle within ``_REVERSAL_TIE`` of +-pi takes its sign from the
+    exact orientation of (a, b, c): negative for a right turn, positive for
+    a left turn or an exact reversal.  A zero vector gets 0 or pi, not an
+    error.
     """
+    pb = xy.take(b, axis=0)  # ``take``: numpy's 2-d fancy indexing is far slower
+    e, f = pb - xy.take(a, axis=0), xy.take(c, axis=0) - pb
     ex, ey, fx, fy = e[:, 0], e[:, 1], f[:, 0], f[:, 1]
     angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
-    angle[angle == -math.pi] = math.pi
+    near = (np.abs(angle) >= math.pi - _REVERSAL_TIE).nonzero()[0]
+    if len(near):
+        right = _orientations(xy.T, a[near], b[near], c[near]) < 0
+        angle[near] = np.copysign(angle[near], np.where(right, -1.0, 1.0))
     return angle
 
 
@@ -471,16 +464,27 @@ def _clockwise_rotation(geometry: _Geometry) -> np.ndarray:
     return ids[np.where(rank == 0, first, ptr[tails + 1] - rank)]
 
 
+def _step_angles(g: EmbeddedGraph, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Turning angles of the steps from directed edges ``e[i]`` onto ``f[i]``,
+    each leaving the head of ``e[i]``; a zero-length edge raises ValueError."""
+    flat, xy = g._geometry.ends.reshape(-1), g._geometry.xy
+    a, b, c = flat[e], flat[e ^ 1], flat[f ^ 1]
+    pa, pb, pc = xy.take(a, axis=0), xy.take(b, axis=0), xy.take(c, axis=0)
+    if ((pa == pb).all(axis=1) | (pb == pc).all(axis=1)).any():
+        raise ValueError("turning angle undefined for a zero-length edge")
+    return _turning_angles(xy, a, b, c)
+
+
 def turning_angle(g: EmbeddedGraph, e: int, f: int) -> float:
-    """Signed angle in (-pi, pi] between directed edges ``e`` and ``f``.
+    """Signed angle in (-pi, pi] of the turn from directed edge ``e`` onto
+    ``f``, which must leave the head of ``e``.
 
     The same numpy computation as the transition layout's angles, on one
     step, so the two agree bit for bit.
     """
-    de, df = g.direction(e), g.direction(f)
-    if de == (0.0, 0.0) or df == (0.0, 0.0):
-        raise ValueError("turning angle undefined for a zero-length edge")
-    return _turning_angles(np.array((de,)), np.array((df,))).item()
+    if g.tail(f) != g.head(e):
+        raise ValueError(f"directed edge {f} does not leave the head of {e}")
+    return _step_angles(g, np.array([e]), np.array([f])).item()
 
 
 # -- embedding validation ------------------------------------------------
@@ -923,7 +927,8 @@ def dumps_graph(g: EmbeddedGraph) -> str:
         return "[\n    " + inner + "\n  ]"
 
     vrows = [json.dumps(p) for p in g._geometry.xy.tolist()]
-    erows = [json.dumps([e.u, e.v, e.weight]) for e in g.edges]
+    ends = zip(g._geometry.ends.tolist(), g._weights.tolist())
+    erows = [json.dumps([u, v, w]) for (u, v), w in ends]
     return (
         "{\n"
         f'  "vertices": {block(vrows)},\n'

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import EmbeddedGraph, turning_angle
+from .graph import EmbeddedGraph, _step_angles
 from .transition import _contraction, _layout, build_transition_matrix, check_convergence_radius
 
 MAX_LOOP_LEN_CAP = 16
@@ -118,24 +118,32 @@ class LoopStats:
     visits: dict[int, int]
 
 
-def _check_in_graph(g: EmbeddedGraph, w: Walk) -> None:
+def _check_in_graph(g: EmbeddedGraph, w: Walk) -> np.ndarray:
+    """The steps of ``w`` as an array, checked to be a walk in ``g``."""
     n2 = g.num_directed
-    for s in w.steps:
-        if not 0 <= s < n2:
-            raise ValueError(f"directed edge id {s} out of range [0, {n2})")
-    for a, b in zip(w.steps, w.steps[1:]):
-        if g.tail(b) != g.head(a):
-            raise ValueError(f"steps {a} -> {b} are not consecutive")
+    outside = [s for s in w.steps if not 0 <= s < n2]
+    if outside:
+        raise ValueError(f"directed edge id {outside[0]} out of range [0, {n2})")
+    steps = np.array(w.steps, dtype=np.intp)
+    flat = g._geometry.ends.reshape(-1)
+    broken = (flat[steps[1:]] != flat[steps[:-1] ^ 1]).nonzero()[0].tolist()
+    if broken:
+        a, b = w.steps[broken[0]], w.steps[broken[0] + 1]
+        raise ValueError(f"steps {a} -> {b} are not consecutive")
+    return steps
 
 
 def walk_weight(g: EmbeddedGraph, w: Walk) -> WalkWeight:
-    """Evaluate the walk weight; the empty walk (length 0) weighs (1, 0, 1)."""
-    _check_in_graph(g, w)
-    turning = 0.0
-    product = 1.0
-    for a, b in zip(w.steps, w.steps[1:]):
-        turning += turning_angle(g, a, b)
-        product *= g.directed_weight(a)
+    """Evaluate the walk weight; the empty walk (length 0) weighs (1, 0, 1).
+
+    The turning angles of all the steps come from one call, and are added in
+    walk order."""
+    steps = _check_in_graph(g, w)
+    turning, product = 0.0, 1.0
+    angles = _step_angles(g, steps[:-1], steps[1:]).tolist()
+    for angle, x in zip(angles, g._weights[steps[:-1] >> 1].tolist()):
+        turning += angle
+        product *= x
     return WalkWeight(cmath.exp(0.5j * turning) * product, turning, product)
 
 
@@ -161,11 +169,9 @@ def reverse_walk(w: Walk) -> Walk:
 
 def is_self_avoiding(g: EmbeddedGraph, l: Loop) -> bool:
     """True iff every vertex of the loop appears in exactly two traversed edges."""
-    counts: dict[int, int] = {}
-    for s in l.steps[:-1]:
-        for v in (g.tail(s), g.head(s)):
-            counts[v] = counts.get(v, 0) + 1
-    return all(c == 2 for c in counts.values())
+    body = np.array(l.steps[:-1], dtype=np.intp)
+    counts = np.bincount(g._geometry.ends.reshape(-1)[np.concatenate((body, body ^ 1))])
+    return bool((counts[counts > 0] == 2).all())
 
 
 def multiplicity(l: Loop) -> int:
@@ -206,24 +212,20 @@ def _check_len_cap(max_len: int) -> None:
 def _on_loops(g: EmbeddedGraph) -> list[bool]:
     """``on[d]``: some loop steps along directed edge ``d``.
 
-    An edge whose every continuation runs into a dead end (a tree hanging off
-    the graph) goes on forever in no walk; such edges are peeled off from the
-    leaves inwards.  A loop's reversal is a loop, so ``d`` is on a loop only if
-    ``d`` and ``d ^ 1`` both go on; the edges that do are the graph with its
-    hanging trees removed, and each of them lies on a loop there.
+    An edge at a vertex of degree 1 (a leaf of a tree hanging off the graph)
+    lies on no loop, as no walk turns back at its leaf; such edges are peeled
+    off, all current leaves at a time, until none is left.  Each remaining
+    edge lies on a loop in both directions, as every remaining vertex has
+    another edge to go on along.  One round per level of the deepest tree.
     """
-    live = [len(g.out_edges(g.head(d))) - 1 for d in range(g.num_directed)]
-    goes_on = [True] * g.num_directed
-    dead = [d for d, n in enumerate(live) if n == 0]
-    while dead:
-        f = dead.pop()
-        goes_on[f] = False
-        for e in g.out_edges(g.tail(f)):
-            if e != f:  # e ^ 1 enters the tail of f and may continue along f
-                live[e ^ 1] -= 1
-                if live[e ^ 1] == 0:
-                    dead.append(e ^ 1)
-    return [goes_on[d] and goes_on[d ^ 1] for d in range(g.num_directed)]
+    u, v = g._geometry.ends.T
+    on = np.ones(g.num_edges, dtype=bool)
+    while True:
+        degree = np.bincount(g._geometry.ends[on].reshape(-1), minlength=g.num_vertices)
+        leaf = on & ((degree[u] == 1) | (degree[v] == 1))
+        if not leaf.any():
+            return np.repeat(on, 2).tolist()
+        on &= ~leaf
 
 
 # Walks materialised at once by ``_groups``; bounds the enumerator's memory.

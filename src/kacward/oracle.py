@@ -51,7 +51,7 @@ class CycleBasis:
 
 def _vertex_parity_vectors(g: EmbeddedGraph) -> list[int]:
     # Edge k toggles the parity bits of its two endpoints.
-    return [(1 << e.u) ^ (1 << e.v) for e in g.edges]
+    return [(1 << u) ^ (1 << v) for u, v in g._geometry.ends.tolist()]
 
 
 def enumerate_even_subgraphs_naive(g: EmbeddedGraph) -> list[EvenSubgraph]:
@@ -86,10 +86,11 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
             a = parent[a]
         return a
 
+    ends = g._geometry.ends.tolist()
     forest: list[int] = []
     non_forest: list[int] = []
-    for k, e in enumerate(g.edges):
-        ru, rv = find(e.u), find(e.v)
+    for k, (u, v) in enumerate(ends):
+        ru, rv = find(u), find(v)
         if ru == rv:
             non_forest.append(k)
         else:
@@ -99,9 +100,9 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
     # Adjacency restricted to forest edges, for path recovery.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
     for k in forest:
-        e = g.edges[k]
-        adj[e.u].append((e.v, k))
-        adj[e.v].append((e.u, k))
+        u, v = ends[k]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
 
     def forest_path_mask(src: int, dst: int) -> int:
         prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
@@ -121,10 +122,7 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
             mask ^= 1 << k
         return mask
 
-    basis = []
-    for k in non_forest:
-        e = g.edges[k]
-        basis.append(EvenSubgraph(forest_path_mask(e.u, e.v) ^ (1 << k)))
+    basis = (EvenSubgraph(forest_path_mask(*ends[k]) ^ (1 << k)) for k in non_forest)
     return CycleBasis(basis=tuple(basis))
 
 
@@ -155,7 +153,7 @@ def partition_function_oracle(g: EmbeddedGraph) -> float:
     and recomputes each monomial from scratch (no incremental multiplication,
     so zero weights cannot poison later terms).
     """
-    weights = [e.weight for e in g.edges]
+    weights = g._weights.tolist()
     total = 0.0
     for m in _span(cycle_space_basis(g)):
         term = 1.0
@@ -181,9 +179,9 @@ def _spin_energies(g: EmbeddedGraph, couplings) -> np.ndarray:
         )
     configs = np.arange(1 << nv, dtype=np.int64)
     energy = np.zeros(1 << nv, dtype=np.float64)
-    for e, j in zip(g.edges, couplings):
-        su = 1.0 - 2.0 * ((configs >> e.u) & 1)
-        sv = 1.0 - 2.0 * ((configs >> e.v) & 1)
+    for (u, v), j in zip(g._geometry.ends.tolist(), couplings):
+        su = 1.0 - 2.0 * ((configs >> u) & 1)
+        sv = 1.0 - 2.0 * ((configs >> v) & 1)
         energy += j * su * sv
     return energy
 

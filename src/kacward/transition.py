@@ -115,8 +115,7 @@ def _layout(g: EmbeddedGraph) -> _Layout:
     cols = geometry.out_ids[slot]
     forward = cols != (rows ^ 1)
     rows, cols = rows[forward], cols[forward]
-    step = geometry.xy[heads] - geometry.xy[tails]
-    angle = _turning_angles(step[rows], step[cols])
+    angle = _turning_angles(geometry.xy, tails[rows], heads[rows], heads[cols])
     diag = np.arange(n)
     all_rows = np.concatenate((diag, rows))
     all_cols = np.concatenate((diag, cols))

@@ -68,6 +68,19 @@ def make_wheel(spokes=6, weight=0.5):
     return EmbeddedGraph(vertices, edges)
 
 
+def make_tied_hub(second_first=False):
+    """A degree-5 hub whose spokes to (-1, 1e-17) and (-1, 2e-17) tie under
+    atan2 rounding, listed in either order, with three rim edges."""
+    spokes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-17), (-1.0, 2e-17), (0.0, -1.0)]
+    upper, lower = 4, 3
+    if second_first:
+        spokes[2], spokes[3] = spokes[3], spokes[2]
+        upper, lower = lower, upper
+    edges = [(0, k + 1, 0.5) for k in range(5)]
+    edges += [(1, 2, 0.4), (2, upper, 0.3), (5, 1, 0.6), (5, lower, 0.7)]
+    return EmbeddedGraph([(0.0, 0.0)] + spokes, edges)
+
+
 def disjoint_union(g1: EmbeddedGraph, g2: EmbeddedGraph, gap=10.0):
     """Place g2 to the right of g1 with clearance, renumbering its vertices."""
     max_x = max((p.x for p in g1.vertices), default=0.0)

@@ -17,20 +17,7 @@ from kacward import (
     walk_weight,
 )
 from kacward.graph import _clockwise_rotation
-from conftest import make_bowtie, make_square_cycle, make_triangle, make_wheel
-
-
-def make_tied_hub(second_first=False):
-    """A degree-5 hub whose spokes to (-1, 1e-17) and (-1, 2e-17) tie under
-    atan2 rounding, listed in either order, with three rim edges."""
-    spokes = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-17), (-1.0, 2e-17), (0.0, -1.0)]
-    upper, lower = 4, 3
-    if second_first:
-        spokes[2], spokes[3] = spokes[3], spokes[2]
-        upper, lower = lower, upper
-    edges = [(0, k + 1, 0.5) for k in range(5)]
-    edges += [(1, 2, 0.4), (2, upper, 0.3), (5, 1, 0.6), (5, lower, 0.7)]
-    return EmbeddedGraph([(0.0, 0.0)] + spokes, edges)
+from conftest import make_bowtie, make_square_cycle, make_tied_hub, make_triangle, make_wheel
 
 
 def make_star5_with_cycle():
@@ -124,11 +111,11 @@ def test_fans_of_spokes_that_tie_in_floats_are_in_exact_order():
         assert partition_function_oracle(dec.decorated) == pytest.approx(
             partition_function_oracle(g), rel=1e-12
         )
-        # Every loop lifts.  Weights are not compared: the turn from one tied
-        # spoke back out along the other is -pi + 1e-17, which the float
-        # turning angle of the undecorated drawing rounds to +pi.
+        # Every loop lifts with its weight, the turns from one tied spoke
+        # back out along the other (+-pi -+ 1e-17) included.
         for l in enumerate_rooted_loops(g, 6):
-            lift_loop(dec, l)
+            lifted = walk_weight(dec.decorated, lift_loop(dec, l)).value
+            assert abs(walk_weight(g, l).value - lifted) <= 1e-12
 
 
 @pytest.mark.parametrize("spokes", [4, 5, 6, 200])

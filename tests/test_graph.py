@@ -186,7 +186,7 @@ def test_with_weights_checks_only_weights():
     g = make_triangle()
     h = g.with_weights([0.1, 0.2, 0.3])
     assert h == EmbeddedGraph(g.vertices, [(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3)])
-    assert h.vertices is g.vertices and h.out_edges(1) is g.out_edges(1)
+    assert h.vertices is g.vertices and h._geometry is g._geometry
     with pytest.raises(ValueError, match="expected 3 weights, got 2"):
         g.with_weights([0.1, 0.2])
     with pytest.raises(ValueError, match="edge 1 has non-finite weight nan"):
@@ -248,6 +248,43 @@ def test_out_edges_partition_directed_ids():
     g = make_bowtie()
     collected = sorted(d for v in range(g.num_vertices) for d in g.out_edges(v))
     assert collected == list(range(g.num_directed))
+
+
+def test_scalar_accessors_agree_with_edges_and_vertices(corpus):
+    graphs = corpus + [make_wheel(k) for k in range(3, 7)] + [EmbeddedGraph([], [])]
+    sizes = [(w, h) for w in range(1, 9) for h in range(1, 9)]
+    graphs += [gen(w, h, 0.5) for gen in (gen_square, gen_hex) for w, h in sizes]
+    for g in graphs:
+        pts, edges = g.vertices, g.edges
+        tails = [x for e in edges for x in (e.u, e.v)]
+        heads = [x for e in edges for x in (e.v, e.u)]
+        out = [[] for _ in pts]
+        for d, t in enumerate(tails):
+            out[t].append(d)
+        ids, vs = range(g.num_directed), range(len(pts))
+        got_tails, got_heads = [g.tail(d) for d in ids], [g.head(d) for d in ids]
+        got_out = [g.out_edges(v) for v in vs]
+        assert got_tails == tails and got_heads == heads
+        assert got_out == [tuple(o) for o in out]
+        assert g.degrees == tuple(map(len, out)) == tuple(g.degree(v) for v in vs)
+        assert [g.direction(d) for d in ids] == [
+            (pts[h].x - pts[t].x, pts[h].y - pts[t].y) for t, h in zip(tails, heads)
+        ]
+        assert max_degree(g) == max(map(len, out), default=0)
+        ints = got_tails + got_heads + [d for o in got_out for d in o] + list(g.degrees)
+        assert all(type(x) is int for x in ints + [max_degree(g)])
+
+
+def test_scalar_accessors_index_as_tuples_do():
+    g = make_bowtie()
+    last_d, last_v = g.num_directed - 1, g.num_vertices - 1
+    assert (g.tail(-1), g.head(-1)) == (g.tail(last_d), g.head(last_d))
+    assert (g.out_edges(-1), g.degree(-1)) == (g.out_edges(last_v), g.degree(last_v))
+    assert g.direction(-1) == g.direction(last_d)
+    for read, past in [(g.tail, last_d + 1), (g.head, last_d + 1), (g.out_edges, last_v + 1),
+                       (g.degree, last_v + 1), (g.direction, last_d + 1)]:
+        with pytest.raises(IndexError):
+            read(past)
 
 
 # -- validation -----------------------------------------------------------
@@ -360,6 +397,12 @@ def test_turning_angle_zero_length_errors():
     g = EmbeddedGraph([(0, 0), (0, 0), (1, 0)], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(ValueError):
         turning_angle(g, 0, 2)
+
+
+def test_turning_angle_needs_consecutive_edges():
+    g = make_triangle()
+    with pytest.raises(ValueError, match="does not leave the head of 0"):
+        turning_angle(g, 0, 4)
 
 
 def test_turning_angle_antisymmetry():

@@ -35,6 +35,7 @@ from conftest import (
     make_path3,
     make_single_edge,
     make_square_cycle,
+    make_tied_hub,
     make_triangle,
     make_wheel,
 )
@@ -472,6 +473,38 @@ def test_turning_angle_is_the_layouts_angle_bit_for_bit(corpus):
         assert np.array_equal(one_at_a_time.view(np.uint64), layout.angle.view(np.uint64))
         steps += len(layout.angle)
     assert steps > 70_000
+
+
+def exact_turn_sign(g, d, f):
+    """Sign of the cross product of the directions of d and f, in rationals."""
+    from fractions import Fraction
+
+    (ex, ey), (fx, fy) = (map(Fraction, g.direction(s)) for s in (d, f))
+    cross = ex * fy - ey * fx
+    return (cross > 0) - (cross < 0)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("second_first", [False, True])
+def test_a_near_reversal_turns_by_pi_on_its_exact_side(second_first, mirror):
+    # From one tied spoke of the hub back out along the other turns by
+    # -pi + 1e-17 one way and pi - 1e-17 the other (in the mirror image, the
+    # other way round); both round to +-pi in floats.
+    g = make_tied_hub(second_first)
+    if mirror:
+        g = EmbeddedGraph([(-p.x, p.y) for p in g.vertices], g.edges)
+    assert partition_function_kw(g) == pytest.approx(partition_function_oracle(g), rel=1e-12)
+    layout = _layout(g)
+    steps = list(zip(layout.rows.tolist(), layout.cols.tolist()))
+    one_at_a_time = np.array([turning_angle(g, d, f) for d, f in steps], dtype=np.float64)
+    assert np.array_equal(one_at_a_time.view(np.uint64), layout.angle.view(np.uint64))
+    signs = [
+        exact_turn_sign(g, d, f)
+        for (d, f), angle in zip(steps, layout.angle.tolist())
+        if abs(angle) == math.pi
+    ]
+    assert sorted(signs) == [-1, 1]
+    assert sorted(a for a in layout.angle.tolist() if abs(a) == math.pi) == [-math.pi, math.pi]
 
 
 def test_shared_layout_arrays_are_read_only():

@@ -511,6 +511,58 @@ def test_only_dead_end_edges_are_off_the_loops():
     assert loops._on_loops(make_triangle()) == [True] * 6
 
 
+def on_loops_reference(g):
+    """``loops._on_loops`` one directed edge at a time: an edge whose every
+    continuation is dead is dead, peeled from the leaves inwards; d is on a
+    loop when neither d nor d ^ 1 is dead."""
+    live = [len(g.out_edges(g.head(d))) - 1 for d in range(g.num_directed)]
+    goes_on = [True] * g.num_directed
+    dead = [d for d, n in enumerate(live) if n == 0]
+    while dead:
+        f = dead.pop()
+        goes_on[f] = False
+        for e in g.out_edges(g.tail(f)):
+            if e != f:  # e ^ 1 enters the tail of f and may continue along f
+                live[e ^ 1] -= 1
+                if live[e ^ 1] == 0:
+                    dead.append(e ^ 1)
+    return [goes_on[d] and goes_on[d ^ 1] for d in range(g.num_directed)]
+
+
+def trees_hung_on_cycles(rng):
+    """One or two cycles, a path joining the first to the last or not, random
+    trees hung on them and a free tree.  Only the combinatorics matter, so
+    the points are random and the drawing need not be valid."""
+    edges, n = [], 0
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(3, 7))
+        edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        n += k
+    if rng.random() < 0.5:
+        edges += [(0, n), (n, n - 1)]
+        n += 1
+    for _ in range(int(rng.integers(0, 12))):
+        edges.append((int(rng.integers(n)), n))
+        n += 1
+    root = n
+    for _ in range(int(rng.integers(0, 4))):
+        edges.append((int(rng.integers(root, n + 1)), n + 1))
+        n += 1
+    return EmbeddedGraph(rng.uniform(0, 1, (n + 1, 2)), [(u, v, 0.1) for u, v in edges])
+
+
+def test_on_loops_is_the_per_edge_leaf_peel(corpus):
+    rng = np.random.default_rng(7)
+    graphs = corpus + [trees_hung_on_cycles(rng) for _ in range(200)]
+    graphs += [dumbbell_with_pendant(1.0), make_path3(), EmbeddedGraph([], [])]
+    hung = 0
+    for g in graphs:
+        on = loops._on_loops(g)
+        assert on == on_loops_reference(g)
+        hung += 0 < on.count(False) < g.num_directed
+    assert hung > 150
+
+
 @pytest.mark.parametrize("pendant_length", [1.0, 0.0])
 def test_public_generic_cancellation_matches_the_per_edge_reference(pendant_length):
     # No loop uses the pendant edge, so no turning angle onto it is needed,
