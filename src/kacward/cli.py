@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-loop-len",
         type=_positive_int,
-        default=os.environ.get(ENV_MAX_LOOP_LEN, str(DEFAULT_MAX_LOOP_LEN)),
+        default=None,  # read from the environment when the command runs
         help=f"enumeration length cap (default {DEFAULT_MAX_LOOP_LEN}, "
         f"or ${ENV_MAX_LOOP_LEN})",
     )
@@ -187,9 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _PARSER.parse_args(argv)
+    if args.command == "verify" and args.max_loop_len is None:
+        # Parsed again with the environment's length as the flag, so that a
+        # bad value gets the flag's usage error.  argv[0] is the command: the
+        # top-level parser has no option but --help.
+        value = os.environ.get(ENV_MAX_LOOP_LEN, str(DEFAULT_MAX_LOOP_LEN))
+        args = _PARSER.parse_args([argv[0], f"--max-loop-len={value}", *argv[1:]])
     try:
         return args.func(args)
     except GraphFormatError as exc:

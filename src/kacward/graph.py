@@ -111,9 +111,7 @@ class EmbeddedGraph:
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
-        xy = _coordinates(vertices)
-        ends, weights = _edge_arrays(edges, len(xy))
-        _fill(self, _Geometry(xy, ends), weights)
+        _checked_graph(_coordinates(vertices), *_edge_columns(edges), g=self)
 
     def __setattr__(self, name, value):
         raise AttributeError("EmbeddedGraph is immutable")
@@ -254,25 +252,13 @@ def _float(value, what: str, error: type[Exception] = ValueError) -> float:
         raise error(f"{what} is an integer beyond the float range") from None
 
 
-def _non_finite_vertex(i: int, x: float, y: float) -> ValueError:
-    return ValueError(f"vertex {i} has non-finite coordinates ({x}, {y})")
-
-
-def _check_finite(xy: np.ndarray) -> None:
-    """Raise for the first vertex with a non-finite coordinate."""
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise _non_finite_vertex(i, *xy[i].tolist())
-
-
 def _coordinates(vertices: Iterable) -> np.ndarray:
     """The ``(n, 2)`` float array of the vertices, converted as ``float`` converts.
 
     Input that numpy cannot read as ``n`` finite pairs (``Point`` objects,
     ragged or malformed items, ``None``, which numpy reads as nan) is
-    converted one vertex at a time, which raises what the first bad vertex
-    raises.
+    converted one vertex at a time, which raises what the first vertex that
+    does not convert raises.  ``_checked_graph`` decides finiteness.
     """
     if not isinstance(vertices, np.ndarray):
         vertices = list(vertices)
@@ -285,73 +271,66 @@ def _coordinates(vertices: Iterable) -> np.ndarray:
     rows = []
     for i, p in enumerate(vertices):
         x, y = (p.x, p.y) if isinstance(p, Point) else p
-        x, y = _float(x, f"vertex {i} x"), _float(y, f"vertex {i} y")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise _non_finite_vertex(i, x, y)
-        rows.append((x, y))
+        rows.append((_float(x, f"vertex {i} x"), _float(y, f"vertex {i} y")))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
-def _edge_error(k: int, u: int, v: int, w: float, n: int, duplicate: bool) -> ValueError | None:
-    """Why edge ``k`` = (u, v, w) of a graph on ``n`` vertices is rejected, if it is."""
-    if not (0 <= u < n and 0 <= v < n):
-        return ValueError(f"edge {k} references vertex out of range: ({u}, {v})")
-    if u == v:
-        return ValueError(f"edge {k} is a self-loop at vertex {u}")
-    if duplicate:
-        return ValueError(f"edge {k} duplicates undirected edge {(min(u, v), max(u, v))}")
-    if not math.isfinite(w):
-        return ValueError(f"edge {k} has non-finite weight {w}")
-    return None
+def _edge_columns(edges: Iterable) -> tuple[Sequence[int], Sequence[int], np.ndarray]:
+    """The endpoint columns and the weight array of the edges, converted as
+    ``int`` and ``float`` convert.
 
-
-def _edge_arrays(edges: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(m, 2)`` endpoint array and the weight array of the edges.
-
-    Endpoints are converted as ``int`` converts and weights as ``float``
-    does, and the first defective edge is reported.  Triples whose endpoints
-    are Python ints and whose weights numpy reads as finite floats are
-    converted and checked in bulk; any other input (``Edge`` objects, float
-    indices, a weight that is ``None`` or not finite) one edge at a time.
+    Triples whose endpoints are Python ints and whose weights numpy reads as
+    finite floats are converted in bulk; any other input (``Edge`` objects,
+    float indices, a weight that is ``None`` or not finite) one edge at a
+    time, which raises what the first edge that does not convert raises.
+    ``_checked_graph`` decides what the edges describe.
     """
     items = edges if isinstance(edges, list) else list(edges)
-    columns = None
     try:
         if items and set(map(len, items)) == {3}:
             us, vs, ws = zip(*items)
             if set(map(type, us + vs)) == {int}:
                 weights = np.array(ws, dtype=np.float64)
                 if weights.shape == (len(items),) and np.isfinite(weights).all():
-                    columns = us, vs, weights
+                    return us, vs, weights
     except (TypeError, ValueError, OverflowError):
         pass
-    if columns is None:
-        return _edges_one_by_one(items, n)
-    return _checked_ends(*columns, n), columns[2]
-
-
-def _edges_one_by_one(items: Iterable, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_edge_arrays``, converting and checking one edge at a time."""
-    ends, weights, seen = [], [], set()
+    us, vs, ws = [], [], []
     for k, e in enumerate(items):
         u, v, w = (e.u, e.v, e.weight) if isinstance(e, Edge) else e
-        u, v, w = int(u), int(v), _float(w, f"edge {k} weight")
-        key = (min(u, v), max(u, v))
-        error = _edge_error(k, u, v, w, n, key in seen)
-        if error is not None:
-            raise error
-        seen.add(key)
-        ends.append((u, v))
-        weights.append(w)
-    return np.array(ends, dtype=np.intp).reshape(-1, 2), np.array(weights, dtype=np.float64)
+        us.append(int(u))
+        vs.append(int(v))
+        ws.append(_float(w, f"edge {k} weight"))
+    return us, vs, np.array(ws, dtype=np.float64)
 
 
-def _checked_ends(us: Sequence[int], vs: Sequence[int], weights: np.ndarray, n: int) -> np.ndarray:
-    """The endpoint array of edges given as int columns; raises for the first defective edge."""
+def _edge_error(k: int, u: int, v: int, w: float, n: int, duplicate: bool) -> ValueError:
+    """Why edge ``k`` = (u, v, w) of a graph on ``n`` vertices is rejected."""
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge {k} references vertex out of range: ({u}, {v})")
+    if u == v:
+        return ValueError(f"edge {k} is a self-loop at vertex {u}")
+    if duplicate:
+        return ValueError(f"edge {k} duplicates undirected edge {(min(u, v), max(u, v))}")
+    return ValueError(f"edge {k} has non-finite weight {w}")
+
+
+def _checked_graph(xy: np.ndarray, us, vs, weights: np.ndarray, g=None) -> EmbeddedGraph:
+    """The graph ``g`` (a new one if None) of the coordinates ``xy`` and the
+    converted edge columns, filled once they pass the one check of what
+    they describe: raises ``ValueError`` for the first vertex with a
+    non-finite coordinate, else for the first defective edge.
+    """
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"vertex {i} has non-finite coordinates {tuple(xy[i].tolist())}")
+    n = len(xy)
     try:
         ends = np.array((us, vs), dtype=np.intp).T
-    except OverflowError:  # an index beyond any array, reported in its turn
-        return _edges_one_by_one(zip(us, vs, weights.tolist()), n)[0]
+    except OverflowError:  # an index beyond any array: -1 marks it, the message names it
+        columns = [[x if 0 <= x < n else -1 for x in c] for c in (us, vs)]
+        ends = np.array(columns, dtype=np.intp).T
     u, v = ends[:, 0], ends[:, 1]
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~np.isfinite(weights)
     # A later edge with the key of an earlier one is a duplicate.  The key of
@@ -364,16 +343,8 @@ def _checked_ends(us: Sequence[int], vs: Sequence[int], weights: np.ndarray, n: 
     flagged = (bad | duplicate).nonzero()[0]
     if len(flagged):
         k = int(flagged[0])
-        (uk, vk), w = ends[k].tolist(), weights[k].item()
-        raise _edge_error(k, uk, vk, w, n, bool(duplicate[k]))
-    return ends
-
-
-def _checked_graph(xy: np.ndarray, us, vs, weights: np.ndarray) -> EmbeddedGraph:
-    """The graph of ``xy`` and the edge columns; raises the constructor's ``ValueError``."""
-    _check_finite(xy)
-    ends = _checked_ends(us, vs, weights, len(xy))
-    return _fill(object.__new__(EmbeddedGraph), _Geometry(xy, ends), weights)
+        raise _edge_error(k, int(us[k]), int(vs[k]), weights[k].item(), n, bool(duplicate[k]))
+    return _fill(object.__new__(EmbeddedGraph) if g is None else g, _Geometry(xy, ends), weights)
 
 
 def max_degree(g: EmbeddedGraph) -> int:

@@ -119,7 +119,8 @@ def ising_to_even_weights(inst: IsingInstance) -> HighTemperatureWeights:
     generating function at the returned weights, all of which lie in (-1, 1).
     """
     g = inst.graph
-    y = inst.beta * np.array(inst.couplings, dtype=np.float64)
+    with np.errstate(over="ignore"):  # |beta * J| past the last double is inf, as log Z is
+        y = inst.beta * np.array(inst.couplings, dtype=np.float64)
     # math.tanh, not np.tanh, which differs from it in the last bit.  tanh
     # saturates to +-1.0 in floats around |arg| ~ 19; the conversion
     # contract wants the open interval, so step one ulp inward.

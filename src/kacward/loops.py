@@ -167,11 +167,19 @@ def reverse_walk(w: Walk) -> Walk:
     return _promote(tuple((s ^ 1) for s in reversed(w.steps)))
 
 
+def _self_avoiding(ends: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """Whether each loop, a row of ``bodies`` listing the directed edges it
+    traverses, is self-avoiding: every vertex of it is an end of exactly two
+    of them.  ``ends`` is the graph's ``(|E|, 2)`` endpoint array.  Sorted,
+    the ends of a self-avoiding row come in equal pairs, each unlike the next."""
+    at = np.sort(ends[bodies >> 1].reshape(len(bodies), -1), axis=1)
+    paired = (at[:, ::2] == at[:, 1::2]).all(axis=1)
+    return paired & (at[:, 1:-1:2] != at[:, 2::2]).all(axis=1)
+
+
 def is_self_avoiding(g: EmbeddedGraph, l: Loop) -> bool:
     """True iff every vertex of the loop appears in exactly two traversed edges."""
-    body = np.array(l.steps[:-1], dtype=np.intp)
-    counts = np.bincount(g._geometry.ends.reshape(-1)[np.concatenate((body, body ^ 1))])
-    return bool((counts[counts > 0] == 2).all())
+    return bool(_self_avoiding(g._geometry.ends, np.array([l.steps[:-1]]))[0])
 
 
 def multiplicity(l: Loop) -> int:

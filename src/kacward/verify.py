@@ -26,6 +26,7 @@ from .loops import (
     _Loops,
     _loops_up_to,
     _pick,
+    _self_avoiding,
     _sorted,
     _steps,
     _traces,
@@ -145,11 +146,11 @@ def _first_walk_failure(
     return min(failures)[2] if failures else None
 
 
-def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | None:
+def _first_loop_failure(csr: _Csr, ends: np.ndarray, loops: Picked) -> str | None:
     """The first failure of the loop checks among ``loops``, in lexicographic
     order: loops are real and reversal-symmetric, the reversal weighed from
     ``csr``; self-avoiding loops weigh minus their edge product.
-    ``ends_of[d]`` is (tail, head) of directed edge d."""
+    ``ends`` is the graph's endpoint array."""
     failures = []
     for steps, t, p in loops:
         lam = np.exp(0.5j * t) * p
@@ -157,10 +158,7 @@ def _first_loop_failure(csr: _Csr, ends_of: np.ndarray, loops: Picked) -> str | 
         tol = 1e-12 * np.maximum(1.0, np.abs(lam))
         im, gap = np.abs(lam.imag), np.abs(lam - np.exp(0.5j * t_rev) * p_rev)
         asymmetric = (im > tol) | (gap > tol)
-        # Self-avoiding: each vertex is an end of exactly two traversed edges.
-        ends = np.sort(ends_of[steps[:, :-1]].reshape(len(steps), -1), axis=1)
-        avoiding = (ends[:, ::2] == ends[:, 1::2]).all(axis=1)
-        avoiding &= (ends[:, 1:-1:2] != ends[:, 2::2]).all(axis=1)
+        avoiding = _self_avoiding(ends, steps[:, :-1])
         miss = np.abs(lam + p)
         rows = np.flatnonzero(asymmetric | (avoiding & (miss > tol)))
         if len(rows):
@@ -188,8 +186,6 @@ def _check_weight_properties(
     every loop."""
     half = max(max_len // 2, 1)
     step = np.exp(0.5j * csr.angle) * csr.x[csr.src]
-    ends = g._geometry.ends
-    ends_of = np.stack((ends, ends[:, ::-1]), axis=1).reshape(-1, 2)
     parts = []
     walk_failure = loop_failure = None
     for group in _groups(csr, range(g.num_directed), max(max_len, 2 * half)):
@@ -197,7 +193,7 @@ def _check_weight_properties(
         if walk_failure is None:
             walk_failure = _first_walk_failure(csr, step, half, group, max_len)
         if walk_failure is None and loop_failure is None:
-            loop_failure = _first_loop_failure(csr, ends_of, picked)
+            loop_failure = _first_loop_failure(csr, g._geometry.ends, picked)
         parts.append(_sorted(picked, max_len + 1))
     failure = walk_failure or loop_failure
     detail = failure or f"walk/loop lengths up to {max_len}"

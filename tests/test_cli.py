@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ def test_ising_large_lattice_log_finite(capsys, tmp_path):
     log_line = out.splitlines()[1]
     value = float(log_line.split(" = ")[1])
     assert math.isfinite(value)
+
+
+def test_ising_overflowing_beta_times_coupling_answers_inf_without_a_warning(capsys, tmp_path):
+    # beta * J = 1e616 overflows, and log Z, about beta * J, is inf in
+    # doubles: that is the answer, printed with exit 0 and nothing on stderr.
+    path = tmp_path / "edge.json"
+    dump_graph(make_single_edge(), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code, out, err = run(capsys, "ising", str(path), "--beta", "1e308", "--coupling", "1e308")
+    assert (code, err) == (0, "")
+    assert out == "Z_ising = inf\nlog_Z_ising = inf\n"
 
 
 def test_ising_refuses_a_cancelled_determinant(capsys, tmp_path):

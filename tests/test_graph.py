@@ -23,7 +23,16 @@ from kacward import (
     validate_embedding,
 )
 from kacward.graph import _clockwise_rotation
-from conftest import make_bowtie, make_single_edge, make_triangle, make_wheel
+from kacward.transition import _layout
+from conftest import (
+    disjoint_union,
+    make_bowtie,
+    make_path3,
+    make_single_edge,
+    make_tied_hub,
+    make_triangle,
+    make_wheel,
+)
 
 
 # -- construction ---------------------------------------------------------
@@ -115,6 +124,30 @@ def test_an_integer_beyond_the_float_range_is_named(vertices, edges, message):
     with pytest.raises(GraphFormatError) as info:
         loads_graph(f'{{"vertices": {vertices}, "edges": {edges}}}')
     assert str(info.value) == f"{message} is an integer beyond the float range"
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([(0, 0), (1, 0)], [(0, 0, 1.0), (0, 1, 10**400)], "edge 1 weight"),
+        ([(0, 0), (1, 0), (1, 1)], [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 10**400)], "edge 2 weight"),
+        ([(0, 0), (math.inf, 0), (1, 1)], [(0, 1, 1.0), (1, 2, 10**400)], "edge 1 weight"),
+        ([(0, 0), (math.nan, 0), (1, 10**400)], [(0, 1, 1.0)], "vertex 2 y"),
+    ],
+    ids=["self-loop", "duplicate", "vertex-then-weight", "vertex-then-coordinate"],
+)
+def test_every_input_form_names_a_conversion_defect_first(vertices, edges, message):
+    # Conversion defects come first, in item order, as a graph file is read;
+    # then the first non-finite vertex, then the first defective edge.
+    message += " is an integer beyond the float range"
+    points, objects = [Point(*p) for p in vertices], [Edge(*e) for e in edges]
+    for given in ((vertices, edges), (points, objects)):
+        with pytest.raises(ValueError) as info:
+            EmbeddedGraph(*given)
+        assert str(info.value) == message
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -455,22 +488,25 @@ def float_fan_order(g, v):
     return [outs[0]] + sorted(outs[1:], key=angle_of, reverse=True)
 
 
-def face_count(g):
+def faces(g):
     """The cycles of next(d), the out-edge that follows ``d ^ 1`` in the
-    clockwise rotation at the head of ``d``: the faces of each component."""
+    clockwise rotation at the head of ``d``: the faces of each component,
+    each as the list of its directed edges."""
     fans = rotations(g)
 
     def nxt(d):
         fan = fans[g.head(d)]
         return fan[(fan.index(d ^ 1) + 1) % len(fan)]
 
-    seen, faces = [False] * g.num_directed, 0
+    seen, cycles = [False] * g.num_directed, []
     for d in range(g.num_directed):
-        faces += not seen[d]
+        if not seen[d]:
+            cycles.append([])
         while not seen[d]:
             seen[d] = True
+            cycles[-1].append(d)
             d = nxt(d)
-    return faces
+    return cycles
 
 
 def rotation_graphs(corpus):
@@ -494,8 +530,51 @@ def test_eulers_formula_holds_for_the_rotations_faces(corpus):
     # component, an isolated vertex being a component without faces.
     for g in rotation_graphs(corpus):
         isolated = g.degrees.count(0)
-        faces = face_count(g)
-        assert g.num_vertices - g.num_edges + faces + isolated == 2 * connected_components(g)
+        count = len(faces(g))
+        assert g.num_vertices - g.num_edges + count + isolated == 2 * connected_components(g)
+
+
+def component_labels(g):
+    """A label per vertex, shared by exactly the vertices of one component."""
+    label = list(range(g.num_vertices))
+
+    def root(v):
+        while label[v] != v:
+            v = label[v]
+        return v
+
+    for e in g.edges:
+        label[root(e.u)] = root(e.v)
+    return [root(v) for v in range(g.num_vertices)]
+
+
+def test_every_face_turns_by_two_pi(corpus):
+    # Along the layout's turning angles, with -pi for the backtrack at a
+    # degree-1 vertex, each bounded face turns by +2 pi and the outer face
+    # of each component with edges by -2 pi.  This ties the layout's angles,
+    # its signed turns near +-pi included, to the rotation's faces.
+    graphs = [*corpus, make_path3(), make_single_edge(), make_bowtie()]
+    graphs += [gen(L, L, 0.5) for L in range(1, 9) for gen in (gen_square, gen_hex)]
+    graphs += [make_wheel(spokes) for spokes in (3, 4, 5, 6, 200)]
+    graphs += [make_tied_hub(), make_tied_hub(True), disjoint_union(make_bowtie(), make_path3())]
+    # The hub's two tied spokes alone: the face turns at the hub by
+    # pi - 1e-17 one way and -pi + 1e-17 the other, both +-pi in floats.
+    spokes = [(0.0, 0.0), (-1.0, 1e-17), (-1.0, 2e-17)]
+    graphs.append(EmbeddedGraph(spokes, [(0, 1, 0.5), (0, 2, 0.5)]))
+    for g in graphs:
+        layout = _layout(g)
+        angle = dict(zip(zip(layout.rows.tolist(), layout.cols.tolist()), layout.angle.tolist()))
+        labels = component_labels(g)
+        outer = []
+        for face in faces(g):
+            steps = zip(face, face[1:] + face[:1])
+            turn = sum(-math.pi if f == d ^ 1 else angle[d, f] for d, f in steps)
+            if turn < 0:
+                assert turn == pytest.approx(-2 * math.pi, abs=1e-9)
+                outer.append(labels[g.tail(face[0])])
+            else:
+                assert turn == pytest.approx(2 * math.pi, abs=1e-9)
+        assert sorted(outer) == sorted({labels[e.u] for e in g.edges})
 
 
 def components_by_search(g):

@@ -100,6 +100,18 @@ def test_self_avoiding_loop_weight_is_minus_product():
         assert abs(abs(ww.turning_sum) - 2 * math.pi) < 1e-9
 
 
+def test_self_avoidance_is_every_vertex_met_twice(corpus, bowtie):
+    # Reference: count each vertex over the ends of the traversed edges.
+    seen = {True: 0, False: 0}
+    for g in [*corpus[:40], bowtie, make_wheel(6)]:
+        for l in enumerate_rooted_loops(g, 6):
+            ends = [g.tail(d) for d in l.steps[:-1]] + [g.head(d) for d in l.steps[:-1]]
+            expected = all(ends.count(v) == 2 for v in ends)
+            assert is_self_avoiding(g, l) is expected
+            seen[expected] += 1
+    assert min(seen.values()) > 100
+
+
 def test_turnaround_walk_weight_is_imaginary():
     # A walk from a directed edge to its own reversal (possible once a vertex
     # of degree >= 3 lets the orientation flip, e.g. once around one triangle
