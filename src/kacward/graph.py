@@ -58,10 +58,10 @@ class _Geometry:
     directed id ``d`` runs from ``ends.flat[d]`` to ``ends.flat[d ^ 1]``;
     ``out_ptr``/``out_ids`` list the directed ids leaving each vertex in
     ascending order (CSR).  ``vertices`` is the tuple of ``Point``s,
-    ``violations`` the validation verdict and ``layout`` belongs to
-    :mod:`kacward.transition` (step pattern, turning angles, their
-    half-angle phases and the sparse layout of ``I - T``); all three are
-    filled on first use.
+    ``violations`` the validation verdict; ``layout`` (step pattern, turning
+    angles and their half-angle phases) and ``pattern`` (the fill-reducing
+    order and the sparse layout of ``I - T``) belong to
+    :mod:`kacward.transition`.  All four are filled on first use.
     """
 
     __slots__ = (
@@ -72,6 +72,7 @@ class _Geometry:
         "vertices",
         "violations",
         "layout",
+        "pattern",
         "__weakref__",
     )
 
@@ -86,6 +87,7 @@ class _Geometry:
         self.vertices = None
         self.violations = None
         self.layout = None
+        self.pattern = None
 
 
 class EmbeddedGraph:
@@ -245,11 +247,47 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _float(value, what: str, error: type[Exception] = ValueError) -> float:
-    """``float(value)``; an int beyond the float range raises ``error`` naming ``what``."""
+    """``float(value)``; an int beyond the float range raises ``error`` naming
+    ``what``, and a value ``float`` refuses raises what ``float`` raised, with
+    a message that names ``what`` as ``loads_graph`` does."""
     try:
         return float(value)
     except OverflowError:
         raise error(f"{what} is an integer beyond the float range") from None
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{what} must be a number, got {value!r}") from None
+
+
+def _int(value, what: str) -> int:
+    """``int(value)``; a value ``int`` refuses raises what ``int`` raised (a
+    ValueError for an infinity), with a message that names ``what`` as
+    ``loads_graph`` does."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = ValueError if isinstance(exc, OverflowError) else type(exc)
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+# How ``loads_graph`` words the shape of a vertex row and an edge row.
+_ROW_SHAPE = {Point: "a pair [x, y]", Edge: "a triple [u, v, weight]"}
+
+
+def _unpacked(item, record: type, what: str) -> tuple:
+    """The fields of ``item`` if it is a ``record`` (``Point`` or ``Edge``),
+    else the items of a sequence of as many; anything else raises what
+    unpacking raises, with a message that names ``what`` as ``loads_graph``
+    does."""
+    names = record.__dataclass_fields__
+    if isinstance(item, record):
+        return tuple(getattr(item, name) for name in names)
+    try:
+        values = tuple(item)
+    except TypeError:
+        raise TypeError(f"{what} must be {_ROW_SHAPE[record]}") from None
+    if len(values) != len(names):
+        raise ValueError(f"{what} must be {_ROW_SHAPE[record]}")
+    return values
 
 
 def _coordinates(vertices: Iterable) -> np.ndarray:
@@ -257,8 +295,9 @@ def _coordinates(vertices: Iterable) -> np.ndarray:
 
     Input that numpy cannot read as ``n`` finite pairs (``Point`` objects,
     ragged or malformed items, ``None``, which numpy reads as nan) is
-    converted one vertex at a time, which raises what the first vertex that
-    does not convert raises.  ``_checked_graph`` decides finiteness.
+    converted one vertex at a time, which raises for the first item that
+    does not convert, named as ``loads_graph`` names it.  ``_checked_graph``
+    decides finiteness.
     """
     if not isinstance(vertices, np.ndarray):
         vertices = list(vertices)
@@ -270,7 +309,7 @@ def _coordinates(vertices: Iterable) -> np.ndarray:
         return xy
     rows = []
     for i, p in enumerate(vertices):
-        x, y = (p.x, p.y) if isinstance(p, Point) else p
+        x, y = _unpacked(p, Point, f"vertex {i}")
         rows.append((_float(x, f"vertex {i} x"), _float(y, f"vertex {i} y")))
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
@@ -282,8 +321,9 @@ def _edge_columns(edges: Iterable) -> tuple[Sequence[int], Sequence[int], np.nda
     Triples whose endpoints are Python ints and whose weights numpy reads as
     finite floats are converted in bulk; any other input (``Edge`` objects,
     float indices, a weight that is ``None`` or not finite) one edge at a
-    time, which raises what the first edge that does not convert raises.
-    ``_checked_graph`` decides what the edges describe.
+    time, which raises for the first item that does not convert, named as
+    ``loads_graph`` names it.  ``_checked_graph`` decides what the edges
+    describe.
     """
     items = edges if isinstance(edges, list) else list(edges)
     try:
@@ -297,9 +337,9 @@ def _edge_columns(edges: Iterable) -> tuple[Sequence[int], Sequence[int], np.nda
         pass
     us, vs, ws = [], [], []
     for k, e in enumerate(items):
-        u, v, w = (e.u, e.v, e.weight) if isinstance(e, Edge) else e
-        us.append(int(u))
-        vs.append(int(v))
+        u, v, w = _unpacked(e, Edge, f"edge {k}")
+        us.append(_int(u, f"edge {k} endpoint u"))
+        vs.append(_int(v, f"edge {k} endpoint v"))
         ws.append(_float(w, f"edge {k} weight"))
     return us, vs, np.array(ws, dtype=np.float64)
 
@@ -383,15 +423,22 @@ def _turning_angles(xy: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray)
     to ``c[i]`` (vertex indices into the coordinate array ``xy``), the one
     formula for every turning angle.
 
-    Computed from the cross and dot products of ``b - a`` and ``c - b``.  A
-    float angle within ``_REVERSAL_TIE`` of +-pi takes its sign from the
-    exact orientation of (a, b, c): negative for a right turn, positive for
-    a left turn or an exact reversal.  A zero vector gets 0 or pi, not an
-    error.
+    Computed from the cross and dot products of ``b - a`` and ``c - b``,
+    each vector first scaled by a power of two to a largest component in
+    [0.5, 1), so that the products neither overflow on a huge drawing nor
+    underflow on a tiny one; the scaling is exact and leaves the angle of a
+    drawing of moderate size unchanged, bit for bit.  A float angle within
+    ``_REVERSAL_TIE`` of +-pi takes its sign from the exact orientation of
+    (a, b, c): negative for a right turn, positive for a left turn or an
+    exact reversal.  A zero vector gets 0 or pi, not an error.
     """
     pb = xy.take(b, axis=0)  # ``take``: numpy's 2-d fancy indexing is far slower
     e, f = pb - xy.take(a, axis=0), xy.take(c, axis=0) - pb
     ex, ey, fx, fy = e[:, 0], e[:, 1], f[:, 0], f[:, 1]
+    shift = -np.frexp(np.maximum(np.abs(ex), np.abs(ey)))[1]
+    ex, ey = np.ldexp(ex, shift), np.ldexp(ey, shift)
+    shift = -np.frexp(np.maximum(np.abs(fx), np.abs(fy)))[1]
+    fx, fy = np.ldexp(fx, shift), np.ldexp(fy, shift)
     angle = np.arctan2(ex * fy - ey * fx, ex * fx + ey * fy)
     near = (np.abs(angle) >= math.pi - _REVERSAL_TIE).nonzero()[0]
     if len(near):

@@ -222,18 +222,34 @@ def _on_loops(g: EmbeddedGraph) -> list[bool]:
 
     An edge at a vertex of degree 1 (a leaf of a tree hanging off the graph)
     lies on no loop, as no walk turns back at its leaf; such edges are peeled
-    off, all current leaves at a time, until none is left.  Each remaining
-    edge lies on a loop in both directions, as every remaining vertex has
-    another edge to go on along.  One round per level of the deepest tree.
+    off until none is left.  Each remaining edge lies on a loop in both
+    directions, as every remaining vertex has another edge to go on along.
+    The first leaves are found on arrays; after that, only a vertex that a
+    peel leaves with degree 1 has a new leaf, its one edge left, so each
+    edge and vertex is looked at a bounded number of times, however deep
+    the trees are.
     """
-    u, v = g._geometry.ends.T
-    on = np.ones(g.num_edges, dtype=bool)
-    while True:
-        degree = np.bincount(g._geometry.ends[on].reshape(-1), minlength=g.num_vertices)
-        leaf = on & ((degree[u] == 1) | (degree[v] == 1))
-        if not leaf.any():
-            return np.repeat(on, 2).tolist()
-        on &= ~leaf
+    geometry = g._geometry
+    degree = np.bincount(geometry.ends.reshape(-1), minlength=g.num_vertices)
+    on = (degree[geometry.ends] > 1).all(axis=1)
+    if on.all():
+        return [True] * g.num_directed
+    peeled = geometry.ends[~on].reshape(-1)
+    degree -= np.bincount(peeled, minlength=g.num_vertices)
+    left, live = degree.tolist(), on.tolist()
+    flat, ptr = geometry.ends.reshape(-1).tolist(), geometry.out_ptr.tolist()
+    bare = [w for w in set(peeled.tolist()) if left[w] == 1]
+    while bare:
+        w = bare.pop()
+        for d in geometry.out_ids[ptr[w] : ptr[w + 1]].tolist():
+            if live[d >> 1]:  # w's one edge left, unless a peel at its far end took it
+                live[d >> 1] = False
+                x = flat[d ^ 1]
+                left[x] -= 1
+                if left[x] == 1:
+                    bare.append(x)
+                break
+    return np.repeat(live, 2).tolist()
 
 
 # Walks materialised at once by ``_groups``; bounds the enumerator's memory.

@@ -6,14 +6,23 @@ directed edge to the next is possible; a row has at most ``deg(head) - 1``
 nonzeros.  The determinant of ``I - transition`` equals the square of the
 even-subgraph generating function, which is how ``partition_function_kw``
 evaluates it.  ``I - transition`` is factored once per query by a sparse LU
-with a fill-reducing column ordering (SuperLU, COLAMD).
+(SuperLU) in a fill-reducing order read off the drawing: a nested dissection
+by a quadtree over the vertex coordinates (George 1973; Lipton, Rose and
+Tarjan 1979).  ``T[e, f]`` is nonzero only where the head of ``e`` is the
+tail of ``f``, so the directed edges that cross a cut of the plane separate
+the edges on its two sides, and a planar drawing has cuts that few edges
+cross.  The order permutes rows and columns alike, which leaves the
+determinant unchanged.
 
 Only the moduli ``x_e`` depend on the weights; the step pattern, the turning
-angles, their phases and the sparse layout of ``I - transition`` depend on
-the drawing alone.
+angles, their phases, the order and the sparse layout of ``I - transition``
+depend on the drawing alone.
 They are computed once per geometry record, which ``with_weights`` copies
 share, so a beta sweep pays per query only for the weights, one gather, one
-product and the factorization.
+product and the factorization.  The steps, angles and phases (``_layout``)
+are what the transition matrix and the walk enumerator read; the order and
+the sparse layout (``_pattern``) are made on the first factorization, so
+``verify``, which never factors sparsely, does not make them.
 """
 
 from __future__ import annotations
@@ -73,24 +82,17 @@ class DetResult:
 
 
 class _Layout(NamedTuple):
-    """What the transition matrix and ``I - T`` take from the drawing alone.
+    """What the transition matrix takes from the drawing alone.
 
     ``rows``/``cols`` list the non-backtracking steps, ``angle`` their turning
-    angles and ``phase`` their ``exp(i * angle / 2)``; ``indptr``/``indices``
-    are the CSC pattern of ``I - T``, whose data is
-    ``concatenate((ones, -values))[order]``: the order in which scipy's COO to
-    CSC conversion (sorted by column, then by row) places the identity's
-    diagonal followed by the steps.  The walk enumerator of
-    :mod:`kacward.loops` reads the same steps and angles.
+    angles and ``phase`` their ``exp(i * angle / 2)``.  The walk enumerator
+    of :mod:`kacward.loops` reads the same steps and angles.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     angle: np.ndarray
     phase: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    order: np.ndarray
 
 
 def _layout(g: EmbeddedGraph) -> _Layout:
@@ -116,17 +118,90 @@ def _layout(g: EmbeddedGraph) -> _Layout:
     forward = cols != (rows ^ 1)
     rows, cols = rows[forward], cols[forward]
     angle = _turning_angles(geometry.xy, tails[rows], heads[rows], heads[cols])
-    diag = np.arange(n)
-    all_rows = np.concatenate((diag, rows))
-    all_cols = np.concatenate((diag, cols))
-    order = np.lexsort((all_rows, all_cols))
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
-    arrays = (rows, cols, angle, np.exp(0.5j * angle), indptr, all_rows[order], order)
+    arrays = (rows, cols, angle, np.exp(0.5j * angle))
     for a in arrays:  # shared by every graph with this geometry
         a.flags.writeable = False
     geometry.layout = _Layout(*arrays)
     return geometry.layout
+
+
+# Bits per axis of the quadtree grid that ``_dissection_order`` cuts.
+_QUAD_BITS = 16
+
+
+def _spread(q: np.ndarray) -> np.ndarray:
+    """The bits of each ``_QUAD_BITS``-bit integer, moved to the even positions."""
+    q = (q | (q << 8)) & 0x00FF00FF
+    q = (q | (q << 4)) & 0x0F0F0F0F
+    q = (q | (q << 2)) & 0x33333333
+    return (q | (q << 1)) & 0x55555555
+
+
+def _dissection_order(xy: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The undirected edge ids in a nested-dissection order of the drawing.
+
+    The coordinates are quantized to a ``2^16`` grid over the longer side of
+    the bounding box, and each vertex gets the quadtree (Morton) code that
+    interleaves its cell's x bits (even positions) and y bits (odd).  An
+    edge belongs to the quadtree node where its endpoints' codes first
+    differ, ``h`` levels above the leaves, ``h`` the bit length of the xor
+    of the two codes.  The edges sort in post-order of those nodes, by the
+    node's last code ``gu | (2^h - 1)`` and then ``h``, ties in id order:
+    the edges within each half of a node come before the edges that cross
+    between the halves, which separate them.
+    """
+    if not len(ends):
+        return np.zeros(0, dtype=np.intp)
+    # Halved before subtracting, so that no difference overflows.
+    offset = xy * 0.5 - xy.min(axis=0) * 0.5
+    span = offset.max()
+    if span > 0.0:
+        offset /= span
+    cells = 1 << _QUAD_BITS
+    q = np.minimum((offset * cells).astype(np.int64), cells - 1)
+    code = _spread(q[:, 0]) | (_spread(q[:, 1]) << 1)
+    gu, gv = code[ends[:, 0]], code[ends[:, 1]]
+    h = np.frexp((gu ^ gv).astype(np.float64))[1]  # the bit length; exact below 2^53
+    return np.lexsort((h, gu | ((np.int64(1) << h) - 1)))
+
+
+class _Pattern(NamedTuple):
+    """The sparse layout of ``I - T`` in the drawing's nested-dissection order.
+
+    Directed edge ``d`` is row and column ``pos[d]``, and the two directions
+    of an edge are adjacent: ``pos[2e + 1] == pos[2e] + 1``.  ``indptr`` and
+    ``indices`` are the CSC pattern of the permuted matrix, whose data is
+    ``concatenate((ones, -values))[order]``: the order in which scipy's COO
+    to CSC conversion (sorted by column, then by row) places the identity's
+    diagonal followed by the steps, both at their permuted positions.
+    """
+
+    pos: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+
+
+def _pattern(g: EmbeddedGraph) -> _Pattern:
+    """The sparse layout of ``g``'s ``I - T``, computed once per geometry record."""
+    geometry = g._geometry
+    if geometry.pattern is not None:
+        return geometry.pattern
+    layout = _layout(g)
+    n = g.num_directed
+    edge_pos = np.empty(g.num_edges, dtype=np.intp)
+    edge_pos[_dissection_order(geometry.xy, geometry.ends)] = np.arange(g.num_edges)
+    pos = (2 * edge_pos[:, None] + np.arange(2)).reshape(-1)
+    all_rows = np.concatenate((pos, pos[layout.rows]))
+    all_cols = np.concatenate((pos, pos[layout.cols]))
+    order = np.lexsort((all_rows, all_cols))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
+    arrays = (pos, indptr, all_rows[order], order)
+    for a in arrays:  # shared by every graph with this geometry
+        a.flags.writeable = False
+    geometry.pattern = _Pattern(*arrays)
+    return geometry.pattern
 
 
 def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
@@ -157,14 +232,16 @@ def _parity(perm: np.ndarray) -> int:
 def _sparse_slogdet(a) -> tuple[float, float]:
     """(log|det a|, phase of det a in (-pi, pi]) of a square scipy CSC matrix.
 
-    SuperLU factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal ``L``, so
-    ``det a`` is the product of ``diag(U)`` times the signs of the two
-    permutations.
+    ``a`` comes already in its fill-reducing order, so SuperLU keeps the
+    column order (``NATURAL``; it may still postorder the elimination tree)
+    and pivots rows.  It factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal
+    ``L``, so ``det a`` is the product of ``diag(U)`` times the signs of the
+    two permutations.
     """
     from scipy.sparse.linalg import splu
 
     try:
-        lu = splu(a)
+        lu = splu(a, permc_spec="NATURAL")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NumericalError(f"determinant is zero ({exc})") from exc
     pivots = lu.U.diagonal()
@@ -181,15 +258,19 @@ def _sparse_slogdet(a) -> tuple[float, float]:
 
 
 def kac_ward_determinant(g: EmbeddedGraph) -> DetResult:
-    """det(I - transition), from one sparse LU in log form to avoid overflow."""
+    """det(I - transition), from one sparse LU in log form to avoid overflow.
+
+    The rows and columns are permuted alike into the drawing's nested
+    dissection order (``_pattern``), which leaves the determinant unchanged.
+    """
     tm = build_transition_matrix(g)
     if tm.size == 0:
         return DetResult(det=1.0 + 0.0j, log_abs_det=0.0, phase=0.0)
     from scipy.sparse import csc_array
 
-    layout = _layout(g)
-    data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))[layout.order]
-    a = csc_array((data, layout.indices, layout.indptr), shape=(tm.size, tm.size))
+    pattern = _pattern(g)
+    data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))[pattern.order]
+    a = csc_array((data, pattern.indices, pattern.indptr), shape=(tm.size, tm.size))
     log_abs, phase = _sparse_slogdet(a)
     mag = _exp(log_abs)
     det = complex(mag * math.cos(phase), mag * math.sin(phase))

@@ -81,6 +81,29 @@ def make_tied_hub(second_first=False):
     return EmbeddedGraph([(0.0, 0.0)] + spokes, edges)
 
 
+def make_rotated_square(scale=1.0, shift=(0.0, 0.0), weight=0.5):
+    """The square (0, 0), (3, 1), (2, 4), (-1, 3) with the diagonal from the
+    first corner to the third, shifted by ``shift`` and then scaled by
+    ``scale``: Z = 1 + 2 x^3 + x^4, which is 1.3125 at x = 0.5."""
+    corners = [(0.0, 0.0), (3.0, 1.0), (2.0, 4.0), (-1.0, 3.0)]
+    vertices = [((x + shift[0]) * scale, (y + shift[1]) * scale) for x, y in corners]
+    edges = [(0, 1, weight), (1, 2, weight), (2, 3, weight), (3, 0, weight), (0, 2, weight)]
+    return EmbeddedGraph(vertices, edges)
+
+
+# (scale, shift) of the rotated square: as drawn, tiny, huge, and spanning
+# +-1e300 about the origin.  Unscaled, the cross and dot products of the
+# tiny one's turns underflow to 0 and those of the huge ones overflow.
+ROTATED_SQUARE_SCALES = [
+    (1.0, (0.0, 0.0)),
+    (1e-200, (0.0, 0.0)),
+    (1e160, (0.0, 0.0)),
+    (1e200, (0.0, 0.0)),
+    (5e299, (-1.0, -2.0)),
+]
+ROTATED_SQUARE_IDS = ["unit", "1e-200", "1e160", "1e200", "span-1e300"]
+
+
 def disjoint_union(g1: EmbeddedGraph, g2: EmbeddedGraph, gap=10.0):
     """Place g2 to the right of g1 with clearance, renumbering its vertices."""
     max_x = max((p.x for p in g1.vertices), default=0.0)

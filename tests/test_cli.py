@@ -26,7 +26,16 @@ from kacward import (
     partition_function_oracle,
 )
 from kacward.cli import main
-from conftest import make_bowtie, make_path3, make_single_edge, make_triangle, make_wheel
+from conftest import (
+    ROTATED_SQUARE_IDS,
+    ROTATED_SQUARE_SCALES,
+    make_bowtie,
+    make_path3,
+    make_rotated_square,
+    make_single_edge,
+    make_triangle,
+    make_wheel,
+)
 
 
 def run(capsys, *argv):
@@ -94,6 +103,20 @@ def test_z_tree_is_one(capsys, tmp_path):
     code, out, _ = run(capsys, "z", str(path))
     assert code == 0
     assert out == "Z = 1.00000000000000e+00\nlog_Z = 0.00000000000000e+00\n"
+
+
+@pytest.mark.parametrize("scale, shift", ROTATED_SQUARE_SCALES, ids=ROTATED_SQUARE_IDS)
+def test_z_of_a_huge_or_tiny_drawing_is_that_of_the_drawing_at_unit_scale(
+    capsys, tmp_path, scale, shift
+):
+    # Z = 1 + 2 x^3 + x^4 = 1.3125 at every scale, with nothing on stderr.
+    path = tmp_path / "square.json"
+    dump_graph(make_rotated_square(scale, shift), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code, out, err = run(capsys, "z", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("Z = 1.31250000000000e+00\n")
 
 
 def test_z_crossing_exits_3(capsys, crossing_file):

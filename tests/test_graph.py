@@ -169,6 +169,48 @@ def test_library_callers_get_an_integer_beyond_the_float_range_named(make, messa
     assert str(info.value) == f"{message} is an integer beyond the float range"
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([(0, 0), (1, 0)], [(0, 1, None)], "edge 0 weight must be a number, got None"),
+        ([(0, 0), (1, 0)], [(0, 1, 0.5), (0, 1, "w")], "edge 1 weight must be a number, got 'w'"),
+        ([(0, 0), (1, 0)], [("a", 1, 0.5)], "edge 0 endpoint u must be an integer, got 'a'"),
+        ([(0, 0), (1, 0)], [(0, None, 0.5)], "edge 0 endpoint v must be an integer, got None"),
+        ([(0, 0), (1, 0)], [(0, 1)], "edge 0 must be a triple [u, v, weight]"),
+        ([(0, 0), (1, 0)], [(0, 1, 0.5, 0.5)], "edge 0 must be a triple [u, v, weight]"),
+        ([(0, 0), (1, 0)], [7], "edge 0 must be a triple [u, v, weight]"),
+        ([(0, 0), (1, None)], [(0, 1, None)], "vertex 1 y must be a number, got None"),
+        ([("x", 0), (1, 0)], [], "vertex 0 x must be a number, got 'x'"),
+        ([(0, 0), (1,)], [], "vertex 1 must be a pair [x, y]"),
+        ([(0, 0), 3], [], "vertex 1 must be a pair [x, y]"),
+    ],
+    ids=[
+        "weight-none", "weight-string", "endpoint-string", "endpoint-none", "pair",
+        "quadruple", "scalar-edge", "vertex-first", "coordinate-string", "single", "scalar-vertex",
+    ],
+)
+def test_a_value_that_does_not_convert_is_named_as_a_graph_file_names_it(
+    vertices, edges, message
+):
+    # The library raises the TypeError or ValueError that the conversion
+    # raised, worded as ``loads_graph`` words the same defect.
+    with pytest.raises((TypeError, ValueError)) as info:
+        EmbeddedGraph(vertices, edges)
+    assert str(info.value) == message
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph(json.dumps({"vertices": vertices, "edges": edges}))
+    assert str(info.value) == message
+
+
+def test_point_and_edge_objects_name_a_value_that_does_not_convert():
+    with pytest.raises(TypeError, match=r"^vertex 1 y must be a number, got None$"):
+        EmbeddedGraph([Point(0, 0), Point(1, None)], [])
+    with pytest.raises(TypeError, match=r"^edge 0 weight must be a number, got None$"):
+        EmbeddedGraph([(0, 0), (1, 0)], [Edge(0, 1, None)])
+    with pytest.raises(ValueError, match=r"^edge 0 endpoint u must be an integer, got inf$"):
+        EmbeddedGraph([(0, 0), (1, 0)], [Edge(math.inf, 1, 0.5)])
+
+
 def test_signed_zeros_give_equal_graphs_and_hashes():
     g = EmbeddedGraph([(0.0, -0.0), (1.0, 0.0)], [(0, 1, 0.0)])
     h = EmbeddedGraph([(-0.0, 0.0), (1.0, -0.0)], [(0, 1, -0.0)])

@@ -563,6 +563,19 @@ def test_on_loops_is_the_per_edge_leaf_peel(corpus):
     assert hung > 150
 
 
+def test_on_loops_peels_a_long_path_hung_on_a_triangle():
+    # 3,000 rounds of the leaf peel, one edge each: only the triangle is on
+    # loops.
+    n = 3000
+    vertices = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)] + [(1.0 + k, 0.0) for k in range(1, n + 1)]
+    edges = [(0, 1, 0.3), (1, 2, 0.3), (2, 0, 0.3)]
+    edges += [(1 if k == 0 else 2 + k, 3 + k, 0.3) for k in range(n)]
+    g = EmbeddedGraph(vertices, edges)
+    on = loops._on_loops(g)
+    assert on == [True] * 6 + [False] * (2 * n)
+    assert on == on_loops_reference(g)
+
+
 @pytest.mark.parametrize("pendant_length", [1.0, 0.0])
 def test_public_generic_cancellation_matches_the_per_edge_reference(pendant_length):
     # No loop uses the pendant edge, so no turning angle onto it is needed,
