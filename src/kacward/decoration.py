@@ -56,21 +56,30 @@ class Decoration:
     vertex_image: dict[int, int]
 
 
-def _clearances(geometry, hubs: list[int]) -> list[float]:
-    """Distance from each vertex of ``hubs`` to its nearest non-incident edge
-    (inf if none), found by numpy and measured by ``math.hypot``.  No edge
-    has zero length; one whose squared length underflows gets an endpoint's.
+def _half_clearances(geometry, hubs: list[int]) -> list[float]:
+    """Half the distance from each vertex of ``hubs`` to its nearest
+    non-incident edge (inf if none), found by numpy and measured by
+    ``math.hypot``.
+
+    The coordinates are halved before subtracting, so that no difference
+    overflows.  The projection onto edge ``a`` is ``p . a / |a|^2``, with
+    ``a / |a|^2`` computed from ``a`` scaled by a power of two to a largest
+    component in [0.5, 1), so that it neither overflows on a huge drawing
+    nor underflows on a tiny one.  No edge has zero length.
     """
-    xy, ends, ptr = geometry.xy, geometry.ends, geometry.out_ptr
-    a = xy[ends[:, 0]]
-    ax, ay = (xy[ends[:, 1]] - a).T
-    length2 = ax * ax + ay * ay
+    half, ends, ptr = geometry.xy * 0.5, geometry.ends, geometry.out_ptr
+    a = half[ends[:, 0]]
+    ax, ay = (half[ends[:, 1]] - a).T
+    shift = -np.frexp(np.maximum(np.abs(ax), np.abs(ay)))[1]
+    sx, sy = np.ldexp(ax, shift), np.ldexp(ay, shift)
+    length2 = sx * sx + sy * sy
     clearance = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inverse_x, inverse_y = np.ldexp(sx / length2, shift), np.ldexp(sy / length2, shift)
         for v in hubs:
-            px, py = xy[v, 0] - a[:, 0], xy[v, 1] - a[:, 1]
+            px, py = half[v, 0] - a[:, 0], half[v, 1] - a[:, 1]
             # fmin and fmax turn a nan into the bound, as min and max do.
-            t = np.fmax(0.0, np.fmin(1.0, (px * ax + py * ay) / length2))
+            t = np.fmax(0.0, np.fmin(1.0, px * inverse_x + py * inverse_y))
             dx, dy = px - t * ax, py - t * ay
             dx[geometry.out_ids[ptr[v] : ptr[v + 1]] >> 1] = math.inf  # incident
             dist = np.hypot(dx, dy)
@@ -94,21 +103,23 @@ def decorate(g: EmbeddedGraph) -> Decoration:
         return Decoration(g, tuple(range(g.num_edges)), (), {}, dict(zip(identity, identity)))
 
     # One fan vertex per directed edge out of a fanned vertex, fan by fan,
-    # clockwise, on a circle of radius eps(v) toward the neighbor.
+    # clockwise, on a circle of radius eps(v) toward the neighbor.  Lengths
+    # are measured on the halved coordinates, so that none overflows.
     rotation = _clockwise_rotation(geometry)
     fan = rotation[fanned[flat[rotation]]]
     hub = flat[fan]
-    direction = xy[flat[fan ^ 1]] - xy[hub]
+    direction = xy[flat[fan ^ 1]] * 0.5 - xy[hub] * 0.5
     norm = np.array([math.hypot(x, y) for x, y in direction.tolist()])
     hubs = fanned.nonzero()[0]
     size = degree[hubs]
     first = np.cumsum(size) - size  # where each hub's fan starts in ``fan``
     shortest = np.minimum.reduceat(norm, first)
-    eps = _RADIUS_FRACTION * np.minimum(shortest, _clearances(geometry, hubs.tolist()))
+    clearances = _half_clearances(geometry, hubs.tolist())
+    eps = 2 * _RADIUS_FRACTION * np.minimum(shortest, clearances)
     if not (eps > 0).all():
         v = hubs[np.argmin(eps > 0)]
         raise InvalidEmbeddingError(f"cannot place a fan around vertex {v}: no clearance")
-    points = xy[hub] + np.repeat(eps, size)[:, None] * direction / norm[:, None]
+    points = xy[hub] + np.repeat(eps, size)[:, None] * (direction / norm[:, None])
 
     kept = (~fanned).nonzero()[0]
     leaves = (np.cumsum(~fanned) - 1)[flat]  # the new vertex each directed edge leaves

@@ -174,7 +174,8 @@ class EmbeddedGraph:
         return self._weights[d >> 1].item()
 
     def direction(self, d: int) -> tuple[float, float]:
-        """Displacement vector (head - tail) of directed edge ``d``."""
+        """Displacement vector (head - tail) of directed edge ``d``; a
+        component past the float range is inf."""
         xy, t, h = self._geometry.xy, self.tail(d), self.head(d)
         return xy.item(h, 0) - xy.item(t, 0), xy.item(h, 1) - xy.item(t, 1)
 
@@ -188,14 +189,9 @@ class EmbeddedGraph:
         validation verdict or a transition layout computed for either graph
         serve both; only the weights are checked.
         """
-        try:
-            w = np.array(weights, dtype=np.float64)
-        except OverflowError:  # an int beyond the float range: name its edge
-            w = np.array([_float(x, f"edge {k} weight") for k, x in enumerate(weights)])
+        w = _floats(weights, "edge {} weight")
         if w.shape != self._weights.shape:
-            raise ValueError(
-                f"expected {len(self._weights)} weights, got {len(weights)}"
-            )
+            raise ValueError(f"expected {len(self._weights)} weights, got {len(w)}")
         finite = np.isfinite(w)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -246,27 +242,46 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _float(value, what: str, error: type[Exception] = ValueError) -> float:
-    """``float(value)``; an int beyond the float range raises ``error`` naming
+def _float(value, what: str) -> float:
+    """``float(value)``; an int beyond the float range raises ValueError naming
     ``what``, and a value ``float`` refuses raises what ``float`` raised, with
     a message that names ``what`` as ``loads_graph`` does."""
     try:
         return float(value)
     except OverflowError:
-        raise error(f"{what} is an integer beyond the float range") from None
+        raise ValueError(f"{what} is an integer beyond the float range") from None
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{what} must be a number, got {value!r}") from None
 
 
-def _int(value, what: str) -> int:
-    """``int(value)``; a value ``int`` refuses raises what ``int`` raised (a
-    ValueError for an infinity), with a message that names ``what`` as
-    ``loads_graph`` does."""
+def _floats(values: Iterable, name: str) -> np.ndarray:
+    """The float array of ``values``, the one reader of weights and couplings:
+    in bulk when numpy reads every value as a finite float, else one item at
+    a time through ``_float``, item ``k`` named ``name.format(k)``.  A value
+    that is not finite passes, for the caller to name."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
     try:
-        return int(value)
+        a = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is not None and a.ndim == 1 and np.isfinite(a).all():
+        return a
+    return np.array([_float(x, name.format(k)) for k, x in enumerate(values)], dtype=np.float64)
+
+
+def _int(value, what: str) -> int:
+    """``int(value)`` of a value equal to it; any other value raises what
+    ``int`` raised (a ValueError for an infinity or a float that is not
+    integral), with a message that names ``what`` as ``loads_graph`` does."""
+    try:
+        i = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         error = ValueError if isinstance(exc, OverflowError) else type(exc)
         raise error(f"{what} must be an integer, got {value!r}") from None
+    if i != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return i
 
 
 # How ``loads_graph`` words the shape of a vertex row and an edge row.
@@ -318,23 +333,19 @@ def _edge_columns(edges: Iterable) -> tuple[Sequence[int], Sequence[int], np.nda
     """The endpoint columns and the weight array of the edges, converted as
     ``int`` and ``float`` convert.
 
-    Triples whose endpoints are Python ints and whose weights numpy reads as
-    finite floats are converted in bulk; any other input (``Edge`` objects,
-    float indices, a weight that is ``None`` or not finite) one edge at a
-    time, which raises for the first item that does not convert, named as
-    ``loads_graph`` names it.  ``_checked_graph`` decides what the edges
-    describe.
+    Triples whose endpoints are Python ints have their weights read by
+    ``_floats``; any other input (``Edge`` objects, float indices) is
+    converted one edge at a time, which raises for the first item that does
+    not convert, named as ``loads_graph`` names it.  ``_checked_graph``
+    decides what the edges describe.
     """
     items = edges if isinstance(edges, list) else list(edges)
     try:
-        if items and set(map(len, items)) == {3}:
-            us, vs, ws = zip(*items)
-            if set(map(type, us + vs)) == {int}:
-                weights = np.array(ws, dtype=np.float64)
-                if weights.shape == (len(items),) and np.isfinite(weights).all():
-                    return us, vs, weights
-    except (TypeError, ValueError, OverflowError):
-        pass
+        columns = tuple(zip(*items)) if set(map(len, items)) == {3} else ()
+    except TypeError:  # an item without a length, such as an ``Edge``
+        columns = ()
+    if columns and set(map(type, columns[0] + columns[1])) == {int}:
+        return columns[0], columns[1], _floats(columns[2], "edge {} weight")
     us, vs, ws = [], [], []
     for k, e in enumerate(items):
         u, v, w = _unpacked(e, Edge, f"edge {k}")
@@ -424,16 +435,19 @@ def _turning_angles(xy: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray)
     formula for every turning angle.
 
     Computed from the cross and dot products of ``b - a`` and ``c - b``,
-    each vector first scaled by a power of two to a largest component in
-    [0.5, 1), so that the products neither overflow on a huge drawing nor
-    underflow on a tiny one; the scaling is exact and leaves the angle of a
-    drawing of moderate size unchanged, bit for bit.  A float angle within
+    taken on the halved points and each scaled by a power of two to a
+    largest component in [0.5, 1), so that neither a difference nor a
+    product overflows on a huge drawing or underflows on a tiny one; the
+    scalings are exact for normal floats and leave the angle unchanged, bit
+    for bit.  A float angle within
     ``_REVERSAL_TIE`` of +-pi takes its sign from the exact orientation of
     (a, b, c): negative for a right turn, positive for a left turn or an
     exact reversal.  A zero vector gets 0 or pi, not an error.
     """
-    pb = xy.take(b, axis=0)  # ``take``: numpy's 2-d fancy indexing is far slower
-    e, f = pb - xy.take(a, axis=0), xy.take(c, axis=0) - pb
+    # ``take``: numpy's 2-d fancy indexing is far slower.  The points are
+    # halved before subtracting, so that no difference overflows.
+    pa, pb, pc = (xy.take(i, axis=0) * 0.5 for i in (a, b, c))
+    e, f = pb - pa, pc - pb
     ex, ey, fx, fy = e[:, 0], e[:, 1], f[:, 0], f[:, 1]
     shift = -np.frexp(np.maximum(np.abs(ex), np.abs(ey)))[1]
     ex, ey = np.ldexp(ex, shift), np.ldexp(ey, shift)
@@ -463,7 +477,7 @@ def _clockwise_rotation(geometry: _Geometry) -> np.ndarray:
     xy, ids, ptr = geometry.xy, geometry.out_ids, geometry.out_ptr
     flat = geometry.ends.reshape(-1)
     tails, heads = flat[ids], flat[ids ^ 1]  # tails ascend, as ``ids`` is CSR
-    d = xy[heads] - xy[tails]
+    d = xy[heads] * 0.5 - xy[tails] * 0.5  # halved, so that no difference overflows
     angle = np.arctan2(d[:, 1], d[:, 0])
     angle[angle < 0] += 2 * math.pi
     order = np.lexsort((angle, tails))
@@ -854,10 +868,9 @@ def require_valid_embedding(g: EmbeddedGraph) -> None:
 # Unknown fields and out-of-range indices are rejected.
 
 
-def _check_number(value, what: str) -> float:
+def _check_number(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{what} must be a number, got {value!r}")
-    return _float(value, what, GraphFormatError)
 
 
 def _check_int(value, what: str) -> int:
@@ -899,8 +912,9 @@ def _raise_first_format_error(vertices: list, edges: list) -> None:
 def loads_graph(text: str) -> EmbeddedGraph:
     """Parse a graph from its text form; strict about shape and fields.
 
-    The rows are type-checked and converted a column at a time; only a file
-    with a bad row is checked again one row at a time, to name that row.
+    The rows are type-checked a column at a time; only a file with a bad row
+    is checked again one row at a time, to name that row.  The numbers are
+    then read as the constructor reads them.
     """
     try:
         data = json.loads(text)
@@ -921,12 +935,7 @@ def loads_graph(text: str) -> EmbeddedGraph:
         _raise_first_format_error(vertices, edges)
     us, vs, ws = zip(*edges) if edges else ((), (), ())
     try:
-        xy = np.array(vertices, dtype=np.float64).reshape(-1, 2)
-        weights = np.array(ws, dtype=np.float64)
-    except OverflowError:  # an int beyond the float range: name its row
-        _raise_first_format_error(vertices, edges)
-    try:
-        return _checked_graph(xy, us, vs, weights)
+        return _checked_graph(_coordinates(vertices), us, vs, _floats(ws, "edge {} weight"))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import EmbeddedGraph, _float
+from .graph import EmbeddedGraph, _float, _floats
 from .transition import _exp, _log_sqrt_det, kac_ward_determinant
 
 
@@ -27,19 +27,16 @@ class IsingInstance:
     couplings: tuple[float, ...]
 
     def __post_init__(self):
-        try:
-            couplings = tuple(map(float, self.couplings))
-        except OverflowError:  # an int beyond the float range: name it
-            couplings = tuple(_float(c, f"coupling {k}") for k, c in enumerate(self.couplings))
-        object.__setattr__(self, "couplings", couplings)
+        couplings = _floats(self.couplings, "coupling {}")
+        object.__setattr__(self, "couplings", tuple(couplings.tolist()))
         if not math.isfinite(_float(self.beta, "beta")):
             raise ValueError("beta must be finite")
-        if len(self.couplings) != self.graph.num_edges:
-            raise ValueError(
-                f"expected {self.graph.num_edges} couplings, got {len(self.couplings)}"
-            )
-        if not all(map(math.isfinite, self.couplings)):
-            raise ValueError("couplings must be finite")
+        if len(couplings) != self.graph.num_edges:
+            raise ValueError(f"expected {self.graph.num_edges} couplings, got {len(couplings)}")
+        finite = np.isfinite(couplings)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"coupling {k} has non-finite value {couplings[k].item()}")
 
 
 def uniform_ising(g: EmbeddedGraph, beta: float, coupling: float = 1.0) -> IsingInstance:

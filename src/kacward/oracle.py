@@ -76,8 +76,8 @@ def enumerate_even_subgraphs_naive(g: EmbeddedGraph) -> list[EvenSubgraph]:
     return [EvenSubgraph(m) for m in found]
 
 
-def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
-    """Fundamental-cycle basis from the lowest-edge-index spanning forest."""
+def _forest_split(g: EmbeddedGraph) -> tuple[list[int], list[int]]:
+    """The edges in and out of the lowest-edge-index spanning forest."""
     parent = list(range(g.num_vertices))
 
     def find(a: int) -> int:
@@ -96,7 +96,17 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
         else:
             parent[ru] = rv
             forest.append(k)
+    return forest, non_forest
 
+
+def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
+    """Fundamental-cycle basis from the lowest-edge-index spanning forest."""
+    return _fundamental_cycles(g, *_forest_split(g))
+
+
+def _fundamental_cycles(g: EmbeddedGraph, forest: list[int], non_forest: list[int]) -> CycleBasis:
+    """The cycle that each non-forest edge closes through the forest."""
+    ends = g._geometry.ends.tolist()
     # Adjacency restricted to forest edges, for path recovery.
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
     for k in forest:
@@ -126,14 +136,16 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
     return CycleBasis(basis=tuple(basis))
 
 
+def _check_dimension(d: int) -> None:
+    if d > CYCLE_DIM_CAP:
+        raise ValueError(f"cycle space too large: dimension {d} exceeds cap {CYCLE_DIM_CAP}")
+
+
 def _span(basis: CycleBasis) -> Iterator[int]:
     """The masks of the GF(2) span of the basis, in Gray-code order from the
     empty subgraph; refuses a dimension over ``CYCLE_DIM_CAP``."""
     d = basis.dimension
-    if d > CYCLE_DIM_CAP:
-        raise ValueError(
-            f"cycle space too large: dimension {d} exceeds cap {CYCLE_DIM_CAP}"
-        )
+    _check_dimension(d)
     cur = 0
     yield cur
     for i in range(1, 1 << d):
@@ -151,11 +163,14 @@ def partition_function_oracle(g: EmbeddedGraph) -> float:
 
     Iterates the GF(2) span of the fundamental-cycle basis in Gray-code order
     and recomputes each monomial from scratch (no incremental multiplication,
-    so zero weights cannot poison later terms).
+    so zero weights cannot poison later terms).  A dimension over
+    ``CYCLE_DIM_CAP`` is refused before any cycle is built.
     """
+    forest, non_forest = _forest_split(g)
+    _check_dimension(len(non_forest))
     weights = g._weights.tolist()
     total = 0.0
-    for m in _span(cycle_space_basis(g)):
+    for m in _span(_fundamental_cycles(g, forest, non_forest)):
         term = 1.0
         while m:
             lsb = m & -m

@@ -7,6 +7,7 @@ failure.  The CLI turns these into a table and a nonzero exit code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +55,26 @@ def _fmt(x: float) -> str:
     return format(x, ".3e")
 
 
+def _within(diff, tol):
+    """The one pass rule of every comparison, elementwise: the difference and
+    its tolerance are both finite and the difference is within it.  So a nan
+    fails, and so does an inf within an inf tolerance; each failure's detail
+    shows the value that is not finite.  A difference is never negative, and
+    a nan compares False."""
+    return (diff <= tol) & (tol < math.inf)
+
+
 def _check_kw_vs_oracle(tm: np.ndarray, z: float, corrupt: bool) -> CheckResult:
-    a = np.eye(tm.shape[0], dtype=complex) - tm
-    if corrupt and len(a):
-        # Deliberate fault for testing: scaling a row scales det(I - T) by
-        # 1.01, so it shows wherever Z is not 0, a forest's nilpotent T too.
-        a[0] *= 1.01
-    det = complex(np.linalg.det(a))
+    det = complex(np.linalg.det(np.eye(tm.shape[0], dtype=complex) - tm))
+    if corrupt:
+        # Deliberate fault for testing: it shows wherever Z is not 0, on a
+        # graph without edges and a forest's nilpotent T too.
+        det *= 1.01
     diff = abs(det - z * z)
     tol = 1e-9 * max(1.0, z * z)
     return CheckResult(
         "kw-vs-oracle",
-        diff <= tol,
+        _within(diff, tol),
         f"|det - Z^2| = {_fmt(diff)} (tol {_fmt(tol)})",
     )
 
@@ -118,7 +127,7 @@ def _first_walk_failure(
             if i or j:
                 entry = level.entry if i else _entries(csr, prefix[:, j - 1], prefix[:, j])
                 expect = _carry(expect, level.parent, n, half, step[entry], lam)
-            bad = np.abs(lam[:, None] - expect) > 1e-12 * np.maximum(1.0, np.abs(expect))
+            bad = ~_within(np.abs(lam[:, None] - expect), 1e-12 * np.maximum(1.0, np.abs(expect)))
             rows = np.flatnonzero(bad.any(axis=1))
             if len(rows):
                 r, c = rows[0], int(np.argmax(bad[rows[0]]))
@@ -135,7 +144,7 @@ def _first_walk_failure(
             lam = np.exp(0.5j * level.t[pairs]) * level.p[pairs]
             tol = 1e-12 * np.maximum(1.0, np.abs(lam))
             re, gap = np.abs(lam.real), np.abs(lam + np.exp(0.5j * t_rev) * p_rev)
-            rows = np.flatnonzero((re > tol) | (gap > tol))
+            rows = np.flatnonzero(~(_within(re, tol) & _within(gap, tol)))
             if len(rows):
                 r = rows[0]
                 walk = tuple(steps[r].tolist())
@@ -157,10 +166,10 @@ def _first_loop_failure(csr: _Csr, ends: np.ndarray, loops: Picked) -> str | Non
         t_rev, p_rev = _weigh_steps(csr, steps[:, ::-1] ^ 1)
         tol = 1e-12 * np.maximum(1.0, np.abs(lam))
         im, gap = np.abs(lam.imag), np.abs(lam - np.exp(0.5j * t_rev) * p_rev)
-        asymmetric = (im > tol) | (gap > tol)
+        asymmetric = ~(_within(im, tol) & _within(gap, tol))
         avoiding = _self_avoiding(ends, steps[:, :-1])
         miss = np.abs(lam + p)
-        rows = np.flatnonzero(asymmetric | (avoiding & (miss > tol)))
+        rows = np.flatnonzero(asymmetric | (avoiding & ~_within(miss, tol)))
         if len(rows):
             r = rows[0]
             loop = tuple(steps[r].tolist())
@@ -215,7 +224,7 @@ def _check_specific_cancellation(loops: _Loops, visits: np.ndarray) -> CheckResu
         np.add.at(mags[k], length, np.hypot(lam.real, lam.imag))
         np.minimum.at(first[k], length, rows)
     size, tol = np.hypot(sums.real, sums.imag), 1e-12 * np.maximum(mags, 1.0)
-    failing = [(first[k, n], k, n) for k, n in zip(*np.nonzero(size > tol))]
+    failing = [(first[k, n], k, n) for k, n in zip(*np.nonzero(~_within(size, tol)))]
     if failing:
         _, k, n = min(failing)
         detail = f"edge {2 * k} length {n}: |sum| = {_fmt(size[k, n])} (tol {_fmt(tol[k, n])})"
@@ -236,7 +245,7 @@ def _check_generic_cancellation(
     worst_gap = 0.0
     worst_edge = -1
     for e, report in enumerate(_generic_scan(g, loops, visits, max_len)):
-        if report.gap > report.bound:
+        if not _within(report.gap, report.bound):
             return CheckResult(
                 name,
                 False,
@@ -258,13 +267,13 @@ def _check_trace_identity(tm: np.ndarray, max_len: int, loops: _Loops) -> CheckR
     worst = 0.0
     for n, trace in enumerate(_traces(tm, top), 1):
         diff = abs(trace - complex(loop_sums[n]))
-        worst = max(worst, diff)
-        if diff > 1e-11 * max(1.0, abs(trace)):
+        if not _within(diff, 1e-11 * max(1.0, abs(trace))):
             return CheckResult(
                 name,
                 False,
                 f"length {n}: |trace - loop sum| = {_fmt(diff)}",
             )
+        worst = max(worst, diff)
     return CheckResult(name, True, f"lengths 1..{top}, worst diff = {_fmt(worst)}")
 
 
@@ -280,7 +289,7 @@ def _check_decoration(g: EmbeddedGraph, z0: float) -> CheckResult:
     tol = 1e-12 * max(abs(z0), 1.0)
     return CheckResult(
         name,
-        diff <= tol,
+        _within(diff, tol),
         f"|Z - Z_decorated| = {_fmt(diff)} (tol {_fmt(tol)})",
     )
 
@@ -293,7 +302,9 @@ def run_suite(
     ``g`` is validated first, so an invalid drawing is refused before
     anything else; ``build_transition_matrix`` and ``decorate`` then read its
     verdict, and the decorated graph is validated where it is built.  The
-    transition matrix and the oracle's Z are computed once and shared.
+    oracle's Z and then the transition matrix are computed once and shared,
+    so a cycle space too large for the oracle is refused before the dense
+    matrix is built.
     Every walk weight comes from the transition layout's steps and turning
     angles, as the walk enumerator reaches the walk; weight-properties' one
     pass over the walks also collects the weighed rooted loops, one record of
@@ -302,8 +313,8 @@ def run_suite(
     """
     require_valid_embedding(g)
     _check_len_cap(max_len)
-    tm = build_transition_matrix(g).entries
     z = partition_function_oracle(g)
+    tm = build_transition_matrix(g).entries
     kw = _check_kw_vs_oracle(tm, z, corrupt_transition)
     weight_properties, found = _check_weight_properties(g, max_len, _csr(g))
     visits = _visits(found, g.num_directed)

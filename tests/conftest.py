@@ -40,6 +40,14 @@ def make_square_cycle(weight=0.5):
     )
 
 
+def make_square_with_diagonal(weight=0.5):
+    """The unit square 0-1-3-2 with its diagonal 0-3."""
+    return EmbeddedGraph(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+        [(0, 1, weight), (1, 3, weight), (3, 2, weight), (2, 0, weight), (0, 3, weight)],
+    )
+
+
 def make_bowtie(weight=0.5, weights=None):
     ws = weights if weights is not None else [weight] * 6
     return EmbeddedGraph(
@@ -68,6 +76,13 @@ def make_wheel(spokes=6, weight=0.5):
     return EmbeddedGraph(vertices, edges)
 
 
+def make_huge_wheel(scale=1.1e308):
+    """The 5-spoke wheel at weight 0.2, its rim at distance ``scale``: the
+    rim edges' vectors are finite, but their squares are not."""
+    g = make_wheel(5, weight=0.2)
+    return EmbeddedGraph([(scale * p.x, scale * p.y) for p in g.vertices], g.edges)
+
+
 def make_tied_hub(second_first=False):
     """A degree-5 hub whose spokes to (-1, 1e-17) and (-1, 2e-17) tie under
     atan2 rounding, listed in either order, with three rim edges."""
@@ -91,17 +106,19 @@ def make_rotated_square(scale=1.0, shift=(0.0, 0.0), weight=0.5):
     return EmbeddedGraph(vertices, edges)
 
 
-# (scale, shift) of the rotated square: as drawn, tiny, huge, and spanning
-# +-1e300 about the origin.  Unscaled, the cross and dot products of the
-# tiny one's turns underflow to 0 and those of the huge ones overflow.
+# (scale, shift) of the rotated square: as drawn, tiny, huge, spanning
+# +-1e300 about the origin, and spanning +-1.2e308, whose edge vectors
+# overflow.  Unscaled, the cross and dot products of the tiny one's turns
+# underflow to 0 and those of the huge ones overflow.
 ROTATED_SQUARE_SCALES = [
     (1.0, (0.0, 0.0)),
     (1e-200, (0.0, 0.0)),
     (1e160, (0.0, 0.0)),
     (1e200, (0.0, 0.0)),
     (5e299, (-1.0, -2.0)),
+    (6e307, (-1.0, -2.0)),
 ]
-ROTATED_SQUARE_IDS = ["unit", "1e-200", "1e160", "1e200", "span-1e300"]
+ROTATED_SQUARE_IDS = ["unit", "1e-200", "1e160", "1e200", "span-1e300", "span-1.2e308"]
 
 
 def disjoint_union(g1: EmbeddedGraph, g2: EmbeddedGraph, gap=10.0):

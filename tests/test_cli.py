@@ -13,6 +13,7 @@ import pytest
 import kacward
 
 from kacward import (
+    EmbeddedGraph,
     NumericalError,
     decorate,
     dump_graph,
@@ -22,6 +23,7 @@ from kacward import (
     ising_partition_spin_sum,
     kac_ward_determinant,
     load_graph,
+    loads_graph,
     partition_function_kw,
     partition_function_oracle,
 )
@@ -30,9 +32,11 @@ from conftest import (
     ROTATED_SQUARE_IDS,
     ROTATED_SQUARE_SCALES,
     make_bowtie,
+    make_huge_wheel,
     make_path3,
     make_rotated_square,
     make_single_edge,
+    make_square_with_diagonal,
     make_triangle,
     make_wheel,
 )
@@ -401,6 +405,17 @@ def test_decorate_wheel_center(capsys, tmp_path):
     assert max_degree(load_graph(out_path)) <= 3
 
 
+def test_decorate_a_wheel_drawn_near_the_float_limit(capsys, tmp_path):
+    path = tmp_path / "wheel.json"
+    dump_graph(make_huge_wheel(), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code, out, err = run(capsys, "decorate", str(path))
+    assert code == 0
+    assert err == '{"edge_map": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], "unit_edges": [10, 11, 12, 13]}\n'
+    assert all(map(math.isfinite, (c for p in loads_graph(out).vertices for c in (p.x, p.y))))
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -486,11 +501,14 @@ def test_verify_corrupted_transition_fails(capsys, triangle_file):
 
 
 @pytest.mark.parametrize(
-    "make", [make_single_edge, make_path3, make_bowtie], ids=["single-edge", "path", "bowtie"]
+    "make",
+    [lambda: EmbeddedGraph([(0.0, 0.0)], []), make_single_edge, make_path3, make_bowtie],
+    ids=["single-vertex", "single-edge", "path", "bowtie"],
 )
 def test_verify_corrupted_transition_fails_on_every_graph(capsys, tmp_path, make):
-    # A forest's T is nilpotent, so det(I - T) = 1 whatever its entries; the
-    # fault must change the determinant all the same.
+    # A forest's T is nilpotent, so det(I - T) = 1 whatever its entries, and
+    # a graph without edges has an empty T; the fault must change the
+    # determinant all the same.
     path = tmp_path / "graph.json"
     dump_graph(make(), path)
     code, out, err = run(capsys, "verify", str(path), "--max-loop-len", "4")
@@ -501,6 +519,19 @@ def test_verify_corrupted_transition_fails_on_every_graph(capsys, tmp_path, make
     assert code == 5
     assert "kw-vs-oracle" in out and "FAIL" in out
     assert err.startswith("kacward: error[verify]: kw-vs-oracle")
+
+
+def test_verify_fails_where_the_determinant_overflows(capsys, tmp_path):
+    # The unit square with its diagonal at weights 1e200: det(I - T) and Z^2
+    # are inf, which is no agreement; ``z`` refuses the same file with exit 4.
+    path = tmp_path / "graph.json"
+    dump_graph(make_square_with_diagonal(1e200), path)
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "verify", str(path), "--max-loop-len", "6")
+    assert code == 5
+    assert "kw-vs-oracle           FAIL  |det - Z^2| = inf (tol inf)\n" in out
+    assert err == "kacward: error[verify]: kw-vs-oracle: |det - Z^2| = inf (tol inf)\n"
+    assert run(capsys, "z", str(path))[0] == 4
 
 
 def test_verify_env_var_sets_default_length(capsys, triangle_file, monkeypatch):

@@ -1,5 +1,6 @@
 """Vertex decoration: trivalence, generating-function and loop-weight preservation."""
 
+import numpy as np
 import pytest
 
 from kacward import (
@@ -17,7 +18,14 @@ from kacward import (
     walk_weight,
 )
 from kacward.graph import _clockwise_rotation
-from conftest import make_bowtie, make_square_cycle, make_tied_hub, make_triangle, make_wheel
+from conftest import (
+    make_bowtie,
+    make_huge_wheel,
+    make_square_cycle,
+    make_tied_hub,
+    make_triangle,
+    make_wheel,
+)
 
 
 def make_star5_with_cycle():
@@ -116,6 +124,18 @@ def test_fans_of_spokes_that_tie_in_floats_are_in_exact_order():
         for l in enumerate_rooted_loops(g, 6):
             lifted = walk_weight(dec.decorated, lift_loop(dec, l)).value
             assert abs(walk_weight(g, l).value - lifted) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_wheel_drawn_near_the_float_limit_decorates_as_at_unit_scale():
+    scale = 1.1e308
+    unit, huge = decorate(make_wheel(5, weight=0.2)).decorated, decorate(make_huge_wheel(scale))
+    assert validate_embedding(huge.decorated).ok and max_degree(huge.decorated) == 3
+    xy = huge.decorated._geometry.xy
+    assert np.allclose(xy / scale, unit._geometry.xy, rtol=0.0, atol=1e-14)
+    assert partition_function_oracle(huge.decorated) == pytest.approx(
+        partition_function_oracle(unit), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("spokes", [4, 5, 6, 200])

@@ -10,8 +10,10 @@ from kacward import (
     Edge,
     EmbeddedGraph,
     GraphFormatError,
+    IsingInstance,
     Point,
     connected_components,
+    directed_pair,
     dumps_graph,
     edge_index,
     gen_hex,
@@ -20,6 +22,7 @@ from kacward import (
     max_degree,
     reverse_edge,
     turning_angle,
+    uniform_ising,
     validate_embedding,
 )
 from kacward.graph import _clockwise_rotation
@@ -176,6 +179,8 @@ def test_library_callers_get_an_integer_beyond_the_float_range_named(make, messa
         ([(0, 0), (1, 0)], [(0, 1, 0.5), (0, 1, "w")], "edge 1 weight must be a number, got 'w'"),
         ([(0, 0), (1, 0)], [("a", 1, 0.5)], "edge 0 endpoint u must be an integer, got 'a'"),
         ([(0, 0), (1, 0)], [(0, None, 0.5)], "edge 0 endpoint v must be an integer, got None"),
+        ([(0, 0), (1, 0)], [(0, 1.9, 0.5)], "edge 0 endpoint v must be an integer, got 1.9"),
+        ([(0, 0), (1, 0)], [("1", 0, 0.5)], "edge 0 endpoint u must be an integer, got '1'"),
         ([(0, 0), (1, 0)], [(0, 1)], "edge 0 must be a triple [u, v, weight]"),
         ([(0, 0), (1, 0)], [(0, 1, 0.5, 0.5)], "edge 0 must be a triple [u, v, weight]"),
         ([(0, 0), (1, 0)], [7], "edge 0 must be a triple [u, v, weight]"),
@@ -185,7 +190,8 @@ def test_library_callers_get_an_integer_beyond_the_float_range_named(make, messa
         ([(0, 0), 3], [], "vertex 1 must be a pair [x, y]"),
     ],
     ids=[
-        "weight-none", "weight-string", "endpoint-string", "endpoint-none", "pair",
+        "weight-none", "weight-string", "endpoint-string", "endpoint-none", "endpoint-float",
+        "endpoint-digits", "pair",
         "quadruple", "scalar-edge", "vertex-first", "coordinate-string", "single", "scalar-vertex",
     ],
 )
@@ -209,6 +215,77 @@ def test_point_and_edge_objects_name_a_value_that_does_not_convert():
         EmbeddedGraph([(0, 0), (1, 0)], [Edge(0, 1, None)])
     with pytest.raises(ValueError, match=r"^edge 0 endpoint u must be an integer, got inf$"):
         EmbeddedGraph([(0, 0), (1, 0)], [Edge(math.inf, 1, 0.5)])
+
+
+# Each door through which weights or couplings come in, fed the unit square
+# with ``value`` in place of item 1: how it names that item, and how it
+# names it when the value is not finite.
+def _square_with_weight_1(value):
+    g = gen_square(1, 1, 0.5)
+    edges = [(e.u, e.v, e.weight) for e in g.edges]
+    edges[1] = (edges[1][0], edges[1][1], value)
+    return [(p.x, p.y) for p in g.vertices], edges
+
+
+def _file_door(value):
+    vertices, edges = _square_with_weight_1(value)
+    return loads_graph(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+WEIGHT_DOORS = {
+    "constructor": (
+        lambda value: EmbeddedGraph(*_square_with_weight_1(value)),
+        "edge 1 weight", "edge 1 has non-finite weight nan",
+    ),
+    "with-weights": (
+        lambda value: gen_square(1, 1, 0.5).with_weights([0.5, value, 0.5, 0.5]),
+        "edge 1 weight", "edge 1 has non-finite weight nan",
+    ),
+    "ising-instance": (
+        lambda value: IsingInstance(gen_square(1, 1, 0.0), 1.0, (0.5, value, 0.5, 0.5)),
+        "coupling 1", "coupling 1 has non-finite value nan",
+    ),
+    # Every coupling is ``value``, so item 0 is the first one named.
+    "uniform-ising": (
+        lambda value: uniform_ising(gen_square(1, 1, 0.0), 1.0, value),
+        "coupling 0", "coupling 0 has non-finite value nan",
+    ),
+    "graph-file": (_file_door, "edge 1 weight", "edge 1 has non-finite weight nan"),
+}
+
+
+@pytest.mark.parametrize("door", list(WEIGHT_DOORS))
+@pytest.mark.parametrize(
+    "value, wording",
+    [
+        ("w", "{} must be a number, got 'w'"),
+        (None, "{} must be a number, got None"),
+        ([1, 2], "{} must be a number, got [1, 2]"),
+        (10**400, "{} is an integer beyond the float range"),
+        (math.nan, None),
+    ],
+    ids=["string", "none", "list", "huge-int", "nan"],
+)
+def test_every_door_names_a_weight_that_does_not_read_in_one_wording(door, value, wording):
+    make, item, non_finite = WEIGHT_DOORS[door]
+    message = non_finite if wording is None else wording.format(item)
+    error = GraphFormatError if door == "graph-file" else (TypeError, ValueError)
+    with pytest.raises(error) as info:
+        make(value)
+    assert str(info.value) == message
+
+
+def test_an_endpoint_is_an_integer_or_a_number_equal_to_one():
+    vertices = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError) as info:
+        EmbeddedGraph(vertices, [(0, np.float64(2.7), 0.5)])
+    assert str(info.value) == f"edge 0 endpoint v must be an integer, got {np.float64(2.7)!r}"
+    # Integral floats, as in a float array of edges, and numpy ints convert.
+    g = EmbeddedGraph(vertices, np.array([[0.0, 1.0, 0.5], [2.0, 0.0, 0.25]]))
+    assert [(e.u, e.v, e.weight) for e in g.edges] == [(0, 1, 0.5), (2, 0, 0.25)]
+    assert all(type(e.u) is int and type(e.v) is int for e in g.edges)
+    h = EmbeddedGraph(vertices, [(np.int64(0), np.int32(1), 0.5), (np.uint8(2), 0, 0.25)])
+    assert h == g
 
 
 def test_signed_zeros_give_equal_graphs_and_hashes():
@@ -317,6 +394,9 @@ def test_directed_id_conventions():
         assert edge_index(d) == d // 2
         assert g.tail(reverse_edge(d)) == g.head(d)
         assert g.head(reverse_edge(d)) == g.tail(d)
+    for k in range(g.num_edges):
+        assert directed_pair(k) == (2 * k, 2 * k + 1)
+        assert {edge_index(d) for d in directed_pair(k)} == {k}
 
 
 def test_out_edges_partition_directed_ids():
@@ -698,6 +778,15 @@ def test_parse_rejects_unknown_fields():
 def test_parse_rejects_missing_fields():
     with pytest.raises(GraphFormatError):
         loads_graph('{"vertices": [[0,0],[1,0]]}')
+
+
+@pytest.mark.parametrize(
+    "text", ['{"vertices": {}, "edges": []}', '{"vertices": [], "edges": "[]"}']
+)
+def test_parse_rejects_vertices_or_edges_that_are_not_lists(text):
+    with pytest.raises(GraphFormatError) as info:
+        loads_graph(text)
+    assert str(info.value) == '"vertices" and "edges" must be lists'
 
 
 def test_parse_rejects_out_of_range():

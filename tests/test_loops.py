@@ -57,6 +57,15 @@ def test_loop_requires_closure_and_length():
         Loop((0, 0))
 
 
+def test_walk_needs_a_step_and_hashes_and_prints_by_its_steps():
+    with pytest.raises(ValueError, match="^a walk needs at least one directed edge$"):
+        Walk(())
+    assert hash(Walk([0, 2])) == hash(Walk((0, 2))) == hash((0, 2))
+    assert len({Walk((0, 2)), Walk([0, 2]), Walk((2, 4))}) == 2
+    assert repr(Walk((0, 2))) == "Walk(0, 2)"
+    assert repr(Loop((0, 2, 4, 0))) == "Loop(0, 2, 4, 0)"
+
+
 def test_walk_weight_validates_continuity():
     g = make_triangle()
     with pytest.raises(ValueError, match="consecutive"):
@@ -636,6 +645,12 @@ def test_both_radius_errors_state_the_test_applied():
     assert str(truncated.value) == str(generic.value) == (
         "outside convergence radius: (max_degree - 1) * max|x| = 1.5 >= 1"
     )
+
+
+@pytest.mark.parametrize("e", [-1, 6])
+def test_generic_cancellation_refuses_an_edge_out_of_range(e):
+    with pytest.raises(ValueError, match=f"^directed edge {e} out of range$"):
+        verify_generic_cancellation(make_triangle(weight=0.1), e, 4)
 
 
 def test_generic_cancellation_propagates_cap():

@@ -6,6 +6,7 @@ import pytest
 
 from kacward import (
     EmbeddedGraph,
+    EvenSubgraph,
     connected_components,
     cycle_space_basis,
     enumerate_even_subgraphs_naive,
@@ -28,6 +29,11 @@ from conftest import (
 
 
 # -- naive enumeration -------------------------------------------------------
+
+
+def test_even_subgraph_size_counts_its_edges():
+    assert [EvenSubgraph(m).size() for m in (0, 0b111, 0b1011001)] == [0, 3, 4]
+    assert EvenSubgraph(0b1011001).edge_indices() == (0, 3, 4, 6)
 
 
 def test_single_edge_only_empty_subgraph():
@@ -204,6 +210,20 @@ def test_cycle_dim_cap_is_loud():
     g = gen_square(6, 6, 0.5)  # cycle-space dimension 36
     with pytest.raises(ValueError, match="cycle space too large"):
         partition_function_oracle(g)
+
+
+def test_oracle_refuses_the_dimension_before_building_a_cycle(monkeypatch):
+    # The basis's forest pass counts the dimension; no forest path is
+    # searched for a graph the span would refuse.
+    from kacward import oracle
+
+    def unreachable(*args):
+        raise AssertionError("a fundamental cycle was built")
+
+    monkeypatch.setattr(oracle, "_fundamental_cycles", unreachable)
+    with pytest.raises(ValueError) as info:
+        partition_function_oracle(gen_square(64, 64, 0.5))
+    assert str(info.value) == "cycle space too large: dimension 4096 exceeds cap 30"
 
 
 def test_spin_sum_rejects_coupling_mismatch():

@@ -14,6 +14,7 @@ from kacward import (
     concat,
     enumerate_rooted_loops,
     enumerate_walks,
+    gen_square,
     is_self_avoiding,
     loops,
     reverse_walk,
@@ -29,6 +30,7 @@ from conftest import (
     make_bowtie,
     make_path3,
     make_square_cycle,
+    make_square_with_diagonal,
     make_triangle,
     make_wheel,
     walk_counts,
@@ -490,6 +492,60 @@ def test_suite_refuses_a_length_over_the_cap(monkeypatch):
     monkeypatch.setattr(verify, "_csr", unreachable)
     with pytest.raises(ValueError, match=f"exceeds cap {MAX_LOOP_LEN_CAP}"):
         run_suite(make_triangle(0.25), MAX_LOOP_LEN_CAP + 1)
+
+
+def test_suite_refuses_a_cycle_space_over_the_cap_before_building_t(monkeypatch):
+    # The dense T of the 64 x 64 square would take 4.4 GB; the oracle's
+    # refusal comes first.
+    def unreachable(*args):
+        raise AssertionError("the transition matrix was built")
+
+    monkeypatch.setattr(verify, "build_transition_matrix", unreachable)
+    with pytest.raises(ValueError) as info:
+        run_suite(gen_square(64, 64, 0.5), 4)
+    assert str(info.value) == "cycle space too large: dimension 4096 exceeds cap 30"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, as the checks meet it
+def test_a_comparison_that_is_not_finite_fails():
+    # At weights 1e200, det(I - T) and Z^2 overflow to inf and the walk and
+    # loop weights to inf or nan: an inf within an inf tolerance fails, and
+    # so does a nan.
+    results = {r.name: r for r in run_suite(make_square_with_diagonal(1e200), 6)}
+    assert results["kw-vs-oracle"].status == "FAIL"
+    assert results["kw-vs-oracle"].detail == "|det - Z^2| = inf (tol inf)"
+    assert results["weight-properties"].status == "FAIL"
+    assert results["weight-properties"].detail.endswith("|diff| = inf")
+    assert results["trace-identity"].status == "FAIL"
+    assert results["trace-identity"].detail.endswith("|trace - loop sum| = nan")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan in T, as kw-vs-oracle meets it
+def test_a_nan_turning_angle_fails_weight_properties(monkeypatch):
+    from kacward import transition
+
+    real = transition._turning_angles
+
+    def with_a_nan(*args):
+        angle = real(*args)
+        angle[0] = np.nan
+        return angle
+
+    monkeypatch.setattr(transition, "_turning_angles", with_a_nan)
+    result = results_by_name(make_bowtie(0.25), 6)["weight-properties"]
+    assert result.status == "FAIL"
+    assert result.detail.endswith("= nan"), result.detail
+
+
+def test_a_self_avoiding_loop_that_does_not_weigh_minus_its_product_fails():
+    # With every turning angle 0 each loop weighs its edge product: real and
+    # equal to its reversal's, so only the self-avoiding test sees it.
+    g = make_triangle(0.5)
+    csr = loops._csr(g)
+    flat = csr._replace(angle=np.zeros_like(csr.angle))
+    result, _ = verify._check_weight_properties(g, 3, flat)
+    assert result.status == "FAIL"
+    assert result.detail == "self-avoiding loop (0, 2, 4, 0): |lam + x| = 2.500e-01"
 
 
 def dumbbell_with_pendant(pendant_length):
