@@ -12,7 +12,12 @@ Tarjan 1979).  ``T[e, f]`` is nonzero only where the head of ``e`` is the
 tail of ``f``, so the directed edges that cross a cut of the plane separate
 the edges on its two sides, and a planar drawing has cuts that few edges
 cross.  The order permutes rows and columns alike, which leaves the
-determinant unchanged.
+determinant unchanged.  SuperLU runs with single-column supernodes
+(``relax=1, panel_size=1``): the fronts of this order stay small, and its
+default relaxed supernodes cost more in bookkeeping than they save in dense
+arithmetic at every size up to 64x64 measured.  ``relax`` must not exceed
+``panel_size``; scipy 1.17.1 corrupted memory with ``relax=64,
+panel_size=16``.
 
 Only the moduli ``x_e`` depend on the weights; the step pattern, the turning
 angles, their phases, the order and the sparse layout of ``I - transition``
@@ -215,14 +220,17 @@ def build_transition_matrix(g: EmbeddedGraph) -> TransitionMatrix:
 def _parity(perm: np.ndarray) -> int:
     """0 if the permutation is even, 1 if odd.
 
-    A cycle of length c is c - 1 transpositions, so the parity is that of
-    ``n - cycles``.  The cycles are counted by pointer jumping: after k rounds
-    ``label[i]`` is the least of i and its next 2^k - 1 images, so after
-    ceil(log2 n) rounds it is the least element of i's cycle.
+    The identity returns 0 at once.  Otherwise, a cycle of length c is c - 1
+    transpositions, so the parity is that of ``n - cycles``.  The cycles are
+    counted by pointer jumping: after k rounds ``label[i]`` is the least of i
+    and its next 2^k - 1 images, so after ceil(log2 n) rounds it is the least
+    element of i's cycle.
     """
     p = np.asarray(perm, dtype=np.intp)
     n = len(p)
     label = np.arange(n)
+    if np.array_equal(p, label):
+        return 0
     for _ in range(max(n - 1, 0).bit_length()):
         label = np.minimum(label, label[p])
         p = p[p]
@@ -234,23 +242,25 @@ def _sparse_slogdet(a) -> tuple[float, float]:
 
     ``a`` comes already in its fill-reducing order, so SuperLU keeps the
     column order (``NATURAL``; it may still postorder the elimination tree)
-    and pivots rows.  It factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal
-    ``L``, so ``det a`` is the product of ``diag(U)`` times the signs of the
-    two permutations.
+    and pivots rows, at its default threshold, with single-column
+    supernodes (``relax=1, panel_size=1``; see the module docstring).  It
+    factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal ``L``, so ``det a`` is
+    the product of ``diag(U)`` times the signs of the two permutations, each
+    taken on its own, as either is often the identity.
     """
     from scipy.sparse.linalg import splu
 
     try:
-        lu = splu(a, permc_spec="NATURAL")
+        # Fixed: relaxed supernodes pay only on large dense fronts, which the
+        # drawing's order does not make; relax > panel_size has corrupted
+        # SuperLU's memory.
+        lu = splu(a, permc_spec="NATURAL", relax=1, panel_size=1)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NumericalError(f"determinant is zero ({exc})") from exc
     pivots = lu.U.diagonal()
     log_abs = float(np.sum(np.log(np.abs(pivots))))
     phase = float(np.sum(np.angle(pivots)))
-    # The permutation acting on perm_r's n items and perm_c's, shifted past
-    # them, has the parity of the two together.
-    n = len(lu.perm_c)
-    phase += math.pi * _parity(np.concatenate((lu.perm_r, lu.perm_c + n)))
+    phase += math.pi * (_parity(lu.perm_r) ^ _parity(lu.perm_c))
     phase = math.remainder(phase, 2.0 * math.pi)
     if phase == -math.pi:
         phase = math.pi

@@ -526,7 +526,8 @@ def test_verify_fails_where_the_determinant_overflows(capsys, tmp_path):
     # are inf, which is no agreement; ``z`` refuses the same file with exit 4.
     path = tmp_path / "graph.json"
     dump_graph(make_square_with_diagonal(1e200), path)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
         code, out, err = run(capsys, "verify", str(path), "--max-loop-len", "6")
     assert code == 5
     assert "kw-vs-oracle           FAIL  |det - Z^2| = inf (tol inf)\n" in out

@@ -246,7 +246,9 @@ def reference_parity(perm) -> int:
 
 def test_parity_matches_the_cycle_walk_on_random_permutations():
     rng = np.random.default_rng(5)
-    sizes = [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100, 1023, 1024, 1025, 4097, 65537, 100_000]
+    # 832 is the beta-sweep strip's size, where the factor's permutations
+    # are often the identity.
+    sizes = [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100, 832, 1023, 1024, 1025, 4097, 65537, 100_000]
     for n in sizes:
         perms = [rng.permutation(n) for _ in range(3 if n < 10_000 else 1)]
         perms.append(np.arange(n))
@@ -256,6 +258,55 @@ def test_parity_matches_the_cycle_walk_on_random_permutations():
             perms += [swapped, np.roll(np.arange(n), 1)]  # one transposition; one n-cycle
         for perm in perms:
             assert _parity(perm) == reference_parity(perm.tolist()), n
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Records the keyword arguments and the factor of each ``splu`` call."""
+    import scipy.sparse.linalg
+
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def recording(a, **kwargs):
+        lu = real(a, **kwargs)
+        calls.append((kwargs, lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    return calls
+
+
+def test_the_factor_never_relaxes_supernodes_past_its_panel(splu_calls):
+    # relax > panel_size has corrupted SuperLU's memory: the process crashed
+    # at exit after right answers.
+    kac_ward_determinant(ising_to_even_weights(uniform_ising(gen_square(3, 2, 1.0), 0.5)).graph)
+    [(kwargs, _)] = splu_calls
+    assert kwargs["relax"] <= kwargs["panel_size"]
+
+
+# The beta-sweep strip (416 edges, n = 832): at beta 0.1 SuperLU keeps every
+# row in place; at beta 1 it moves most of them.  So the sign of the row
+# permutation is taken both from the identity and by pointer jumping.
+SWEEP_STRIP = gen_square(8, 24, 1.0)
+
+
+@pytest.mark.parametrize(
+    "couplings, beta, rows_move",
+    [(None, 0.1, False), (None, 1.0, True), (np.random.default_rng(0).uniform(-1, 1.5, 416), 1.0, True)],
+    ids=["beta-0.1", "beta-1", "mixed-beta-1"],
+)
+def test_det_matches_dense_slogdet_on_the_sweep_strip(splu_calls, couplings, beta, rows_move):
+    ising = uniform_ising(SWEEP_STRIP, beta)
+    if couplings is not None:
+        ising = IsingInstance(graph=SWEEP_STRIP, beta=beta, couplings=tuple(couplings))
+    g = ising_to_even_weights(ising).graph
+    r = kac_ward_determinant(g)
+    log_abs, phase = _dense_slogdet(g)
+    assert r.log_abs_det == pytest.approx(log_abs, rel=1e-12)
+    assert abs(math.remainder(r.phase - phase, 2 * math.pi)) <= 1e-12
+    [(_, lu)] = splu_calls
+    assert np.array_equal(lu.perm_r, np.arange(g.num_directed)) != rows_move
 
 
 def test_singular_factor_is_numerical_error():

@@ -506,7 +506,7 @@ def test_suite_refuses_a_cycle_space_over_the_cap_before_building_t(monkeypatch)
     assert str(info.value) == "cycle space too large: dimension 4096 exceeds cap 30"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, as the checks meet it
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the suite silences its overflow
 def test_a_comparison_that_is_not_finite_fails():
     # At weights 1e200, det(I - T) and Z^2 overflow to inf and the walk and
     # loop weights to inf or nan: an inf within an inf tolerance fails, and
