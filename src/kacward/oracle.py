@@ -105,35 +105,44 @@ def cycle_space_basis(g: EmbeddedGraph) -> CycleBasis:
 
 
 def _fundamental_cycles(g: EmbeddedGraph, forest: list[int], non_forest: list[int]) -> CycleBasis:
-    """The cycle that each non-forest edge closes through the forest."""
+    """The cycle that each non-forest edge closes through the forest.
+
+    One pass over the forest gives each vertex its parent, the forest edge
+    up to it and its depth.  A forest path is unique, so the path between
+    the ends of an edge is the walk up from the deeper end, one step at a
+    time, until the two ends meet: each cycle costs its length.
+    """
+    nv = g.num_vertices
     ends = g._geometry.ends.tolist()
-    # Adjacency restricted to forest edges, for path recovery.
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for k in forest:
         u, v = ends[k]
         adj[u].append((v, k))
         adj[v].append((u, k))
-
-    def forest_path_mask(src: int, dst: int) -> int:
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        stack = [src]
+    parent, up_edge, depth = [-1] * nv, [-1] * nv, [-1] * nv
+    for root in range(nv):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        stack = [root]
         while stack:
             v = stack.pop()
-            if v == dst:
-                break
             for nxt, k in adj[v]:
-                if nxt not in prev:
-                    prev[nxt] = (v, k)
+                if depth[nxt] < 0:
+                    parent[nxt], up_edge[nxt], depth[nxt] = v, k, depth[v] + 1
                     stack.append(nxt)
-        mask = 0
-        v = dst
-        while v != src:
-            v, k = prev[v]
-            mask ^= 1 << k
+
+    def cycle_mask(k: int) -> int:
+        u, v = ends[k]
+        mask = 1 << k
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            mask ^= 1 << up_edge[u]
+            u = parent[u]
         return mask
 
-    basis = (EvenSubgraph(forest_path_mask(*ends[k]) ^ (1 << k)) for k in non_forest)
-    return CycleBasis(basis=tuple(basis))
+    return CycleBasis(basis=tuple(EvenSubgraph(cycle_mask(k)) for k in non_forest))
 
 
 def _check_dimension(d: int) -> None:

@@ -5,7 +5,23 @@ entry ``x_e * exp(i * angle / 2)`` wherever a non-backtracking step from one
 directed edge to the next is possible; a row has at most ``deg(head) - 1``
 nonzeros.  The determinant of ``I - transition`` equals the square of the
 even-subgraph generating function, which is how ``partition_function_kw``
-evaluates it.  ``I - transition`` is factored once per query by a sparse LU
+evaluates it.
+
+The turning angle from ``e`` to ``f`` is ``theta_f - theta_e`` modulo
+``2 pi``, ``theta_d`` the direction angle of directed edge ``d``.  So the
+diagonal similarity ``D = diag(exp(i * theta_d / 2))``, which leaves the
+determinant unchanged, turns every entry of ``D T D^-1`` into ``+-x_e``: a
+real matrix, the gauge.  When every weight is nonnegative, ``I - T`` is
+factored in that real gauge, in real arithmetic; no monomial of the
+even-subgraph sum is then negative, so nothing cancels and the determinant
+is at least 1.  With weights of both signs the sum can cancel below double
+precision, and the imaginary residue of the complex factor is what detects
+it (``_log_sqrt_det`` refuses a phase off the real axis); the real gauge has
+no such residue and would return a wrong value of either sign, so mixed
+signs keep the complex matrix.  The choice is read off the weights' signs;
+there is no other.
+
+``I - transition`` is factored once per query by a sparse LU
 (SuperLU) in a fill-reducing order read off the drawing: a nested dissection
 by a quadtree over the vertex coordinates (George 1973; Lipton, Rose and
 Tarjan 1979).  ``T[e, f]`` is nonzero only where the head of ``e`` is the
@@ -20,13 +36,14 @@ arithmetic at every size up to 64x64 measured.  ``relax`` must not exceed
 panel_size=16``.
 
 Only the moduli ``x_e`` depend on the weights; the step pattern, the turning
-angles, their phases, the order and the sparse layout of ``I - transition``
-depend on the drawing alone.
+angles, their phases, the gauge's signs, the order and the sparse layout of
+``I - transition`` depend on the drawing alone.
 They are computed once per geometry record, which ``with_weights`` copies
 share, so a beta sweep pays per query only for the weights, one gather, one
 product and the factorization.  The steps, angles and phases (``_layout``)
-are what the transition matrix and the walk enumerator read; the order and
-the sparse layout (``_pattern``) are made on the first factorization, so
+are what the transition matrix and the walk enumerator read; the signs, the
+order and the sparse layout (``_pattern``) are made on the first
+factorization, so
 ``verify``, which never factors sparsely, does not make them.
 """
 
@@ -78,7 +95,11 @@ class DetResult:
 
     ``det`` reproduces ``exp(log_abs_det + 1j * phase)`` whenever the linear
     value does not overflow; for very large graphs only the log form is
-    meaningful.
+    meaningful.  A phase of exactly 0 or pi gives an imaginary part of
+    exactly 0, overflowed or not.  With nonnegative weights the matrix is
+    factored in its real gauge (see the module docstring), so the phase is
+    exactly 0; with weights of both signs it is the complex factor's, and
+    its distance from 0 shows how far the value sat from the real axis.
     """
 
     det: complex
@@ -179,30 +200,48 @@ class _Pattern(NamedTuple):
     ``concatenate((ones, -values))[order]``: the order in which scipy's COO
     to CSC conversion (sorted by column, then by row) places the identity's
     diagonal followed by the steps, both at their permuted positions.
+    ``sign`` holds the +-1.0 of each step in the real gauge, in the layout's
+    step order: ``phase[k] * exp(i * (theta[rows[k]] - theta[cols[k]]) / 2)``.
     """
 
     pos: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     order: np.ndarray
+    sign: np.ndarray
 
 
 def _pattern(g: EmbeddedGraph) -> _Pattern:
-    """The sparse layout of ``g``'s ``I - T``, computed once per geometry record."""
+    """The sparse layout of ``g``'s ``I - T``, computed once per geometry record.
+
+    The gauge's signs: ``theta_d`` is the ``arctan2`` of the halved head -
+    tail displacement of directed edge ``d`` (halved so that no difference
+    overflows), and a step's turning angle differs from ``theta_f -
+    theta_e`` by ``2 pi k``, so its entry in the real gauge is ``(-1)^k *
+    x_e``.  ``k`` is rounded from floats that sit within a few ulps of
+    ``2 pi k``, a margin of pi, so rounding cannot flip it; it reads the
+    layout's angles, so an angle of +-pi keeps the side that its exact
+    orientation gave it.
+    """
     geometry = g._geometry
     if geometry.pattern is not None:
         return geometry.pattern
     layout = _layout(g)
     n = g.num_directed
+    half, ends = geometry.xy * 0.5, geometry.ends
+    step = half.take(ends[:, ::-1].reshape(-1), axis=0) - half.take(ends.reshape(-1), axis=0)
+    theta = np.arctan2(step[:, 1], step[:, 0])
+    k = np.rint((layout.angle - (theta[layout.cols] - theta[layout.rows])) / (2.0 * math.pi))
+    sign = 1.0 - 2.0 * np.mod(k, 2.0)
     edge_pos = np.empty(g.num_edges, dtype=np.intp)
-    edge_pos[_dissection_order(geometry.xy, geometry.ends)] = np.arange(g.num_edges)
+    edge_pos[_dissection_order(geometry.xy, ends)] = np.arange(g.num_edges)
     pos = (2 * edge_pos[:, None] + np.arange(2)).reshape(-1)
     all_rows = np.concatenate((pos, pos[layout.rows]))
     all_cols = np.concatenate((pos, pos[layout.cols]))
     order = np.lexsort((all_rows, all_cols))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(all_cols, minlength=n), out=indptr[1:])
-    arrays = (pos, indptr, all_rows[order], order)
+    arrays = (pos, indptr, all_rows[order], order, sign)
     for a in arrays:  # shared by every graph with this geometry
         a.flags.writeable = False
     geometry.pattern = _Pattern(*arrays)
@@ -246,7 +285,8 @@ def _sparse_slogdet(a) -> tuple[float, float]:
     supernodes (``relax=1, panel_size=1``; see the module docstring).  It
     factors ``Pr @ a @ Pc = L @ U`` with unit-diagonal ``L``, so ``det a`` is
     the product of ``diag(U)`` times the signs of the two permutations, each
-    taken on its own, as either is often the identity.
+    taken on its own, as either is often the identity.  A real ``a`` gives a
+    phase of exactly 0 or pi.
     """
     from scipy.sparse.linalg import splu
 
@@ -259,8 +299,13 @@ def _sparse_slogdet(a) -> tuple[float, float]:
         raise NumericalError(f"determinant is zero ({exc})") from exc
     pivots = lu.U.diagonal()
     log_abs = float(np.sum(np.log(np.abs(pivots))))
-    phase = float(np.sum(np.angle(pivots)))
-    phase += math.pi * (_parity(lu.perm_r) ^ _parity(lu.perm_c))
+    odd = _parity(lu.perm_r) ^ _parity(lu.perm_c)
+    if np.iscomplexobj(pivots):
+        phase = float(np.sum(np.angle(pivots)))
+    else:  # a sign each: counted, as a float sum of pi's would round
+        phase = 0.0
+        odd ^= int(np.count_nonzero(pivots < 0.0)) & 1
+    phase += math.pi * odd
     phase = math.remainder(phase, 2.0 * math.pi)
     if phase == -math.pi:
         phase = math.pi
@@ -270,20 +315,33 @@ def _sparse_slogdet(a) -> tuple[float, float]:
 def kac_ward_determinant(g: EmbeddedGraph) -> DetResult:
     """det(I - transition), from one sparse LU in log form to avoid overflow.
 
+    Validates ``g`` first.  When every weight is nonnegative, the matrix is
+    factored in its real gauge, where step ``k`` holds ``-x * sign[k]``
+    (``_pattern``), in real arithmetic; the determinant is then at least 1
+    and its phase exactly 0.  Otherwise it is factored as the complex
+    ``I - T``, whose phase detects cancellation (see the module docstring).
     The rows and columns are permuted alike into the drawing's nested
-    dissection order (``_pattern``), which leaves the determinant unchanged.
+    dissection order, which leaves the determinant unchanged.
     """
-    tm = build_transition_matrix(g)
-    if tm.size == 0:
+    require_valid_embedding(g)
+    n = g.num_directed
+    if n == 0:
         return DetResult(det=1.0 + 0.0j, log_abs_det=0.0, phase=0.0)
     from scipy.sparse import csc_array
 
-    pattern = _pattern(g)
-    data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))[pattern.order]
-    a = csc_array((data, pattern.indices, pattern.indptr), shape=(tm.size, tm.size))
+    layout, pattern = _layout(g), _pattern(g)
+    weights = g._weights
+    step = pattern.sign if weights.min() >= 0.0 else layout.phase
+    # Negated after the product: -(x * phase) keeps the sign of a zero
+    # imaginary part that (-x) * phase would flip.
+    data = np.concatenate((np.ones(n), -(weights[layout.rows >> 1] * step)))[pattern.order]
+    a = csc_array((data, pattern.indices, pattern.indptr), shape=(n, n))
     log_abs, phase = _sparse_slogdet(a)
     mag = _exp(log_abs)
-    det = complex(mag * math.cos(phase), mag * math.sin(phase))
+    if phase == 0.0 or phase == math.pi:  # a real det; inf * sin(0) would be nan
+        det = complex(-mag if phase else mag, 0.0)
+    else:
+        det = complex(mag * math.cos(phase), mag * math.sin(phase))
     return DetResult(det=det, log_abs_det=log_abs, phase=phase)
 
 

@@ -521,9 +521,15 @@ def test_verify_corrupted_transition_fails_on_every_graph(capsys, tmp_path, make
     assert err.startswith("kacward: error[verify]: kw-vs-oracle")
 
 
+# The unit square with its diagonal: Z = 1 + 2x^3 + x^4, so log Z =
+# ln(1 + 2x^3 + x^4) = 800 ln 10 at x = 1e200.
+OVERFLOWING_LOG_Z = "log_Z = 1.84206807439524e+03\n"
+
+
 def test_verify_fails_where_the_determinant_overflows(capsys, tmp_path):
     # The unit square with its diagonal at weights 1e200: det(I - T) and Z^2
-    # are inf, which is no agreement; ``z`` refuses the same file with exit 4.
+    # are inf, which is no agreement.  ``z`` answers the same file in log
+    # form, as the pivots of its real factor stay finite.
     path = tmp_path / "graph.json"
     dump_graph(make_square_with_diagonal(1e200), path)
     with warnings.catch_warnings():
@@ -532,7 +538,36 @@ def test_verify_fails_where_the_determinant_overflows(capsys, tmp_path):
     assert code == 5
     assert "kw-vs-oracle           FAIL  |det - Z^2| = inf (tol inf)\n" in out
     assert err == "kacward: error[verify]: kw-vs-oracle: |det - Z^2| = inf (tol inf)\n"
+    assert run(capsys, "z", str(path))[:2] == (0, "Z = inf\n" + OVERFLOWING_LOG_Z)
+
+
+def test_z_refuses_an_overflowing_determinant_of_mixed_signs(capsys, tmp_path):
+    # Weights +-1e200 on the same square: Z = 1 - x^4, and the complex
+    # factor's pivots overflow, so ``z`` refuses with exit 4 and ``verify``
+    # fails.
+    path = tmp_path / "graph.json"
+    weights = (1e200, -1e200, 1e200, 1e200, -1e200)
+    dump_graph(make_square_with_diagonal().with_weights(weights), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", str(path), "--max-loop-len", "6")
+    assert code == 5
+    assert "kw-vs-oracle           FAIL  |det - Z^2| = inf" in out
     assert run(capsys, "z", str(path))[0] == 4
+
+
+def test_det_of_an_overflowing_real_determinant_has_imaginary_part_zero(capsys, tmp_path):
+    # Phase exactly 0: det is (inf, 0), not inf * (cos 0, sin 0) = (inf, nan).
+    path = tmp_path / "graph.json"
+    dump_graph(make_square_with_diagonal(1e200), path)
+    code, out, err = run(capsys, "det", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        "det_re = inf\n"
+        "det_im = 0.00000000000000e+00\n"
+        "log_abs_det = 3.68413614879047e+03\n"
+        "phase = 0.00000000000000e+00\n"
+    )
 
 
 def test_verify_env_var_sets_default_length(capsys, triangle_file, monkeypatch):

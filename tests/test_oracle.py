@@ -106,6 +106,45 @@ def test_basis_elements_are_single_cycles(corpus):
             assert all(c == 2 for c in touched.values())
 
 
+def reference_cycle_masks(g):
+    """The fundamental cycles' masks, with one search of the forest per
+    non-forest edge."""
+    from kacward.oracle import _forest_split
+
+    forest, non_forest = _forest_split(g)
+    ends = [(e.u, e.v) for e in g.edges]
+    adj = [[] for _ in range(g.num_vertices)]
+    for k in forest:
+        u, v = ends[k]
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    masks = []
+    for k in non_forest:
+        src, dst = ends[k]
+        prev = {src: (-1, -1)}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            for nxt, j in adj[v]:
+                if nxt not in prev:
+                    prev[nxt] = (v, j)
+                    stack.append(nxt)
+        mask, v = 1 << k, dst
+        while v != src:
+            v, j = prev[v]
+            mask ^= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def test_fundamental_cycles_are_the_forest_paths(corpus):
+    # A forest path is unique, so the walk up from both ends finds the path
+    # that a search finds.
+    graphs = corpus + [gen_square(48, 48, 0.5), disjoint_union(make_triangle(), make_bowtie())]
+    for g in graphs:
+        assert [c.mask for c in cycle_space_basis(g).basis] == reference_cycle_masks(g)
+
+
 def test_naive_and_span_agree(corpus):
     for g in corpus[:25]:
         if g.num_edges > 20:

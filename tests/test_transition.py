@@ -285,18 +285,26 @@ def test_the_factor_never_relaxes_supernodes_past_its_panel(splu_calls):
     assert kwargs["relax"] <= kwargs["panel_size"]
 
 
-# The beta-sweep strip (416 edges, n = 832): at beta 0.1 SuperLU keeps every
-# row in place; at beta 1 it moves most of them.  So the sign of the row
-# permutation is taken both from the identity and by pointer jumping.
+# The beta-sweep strip (416 edges, n = 832).  Ferromagnetic couplings give
+# nonnegative weights, factored in the real gauge: SuperLU keeps every row
+# in place at beta 0.1 and 1, and moves rows at beta 40, where every weight
+# rounds to 1.  Mixed couplings give the complex matrix, where it
+# moves most rows.  So the sign of the row permutation is taken both from
+# the identity and by pointer jumping.
 SWEEP_STRIP = gen_square(8, 24, 1.0)
 
 
 @pytest.mark.parametrize(
-    "couplings, beta, rows_move",
-    [(None, 0.1, False), (None, 1.0, True), (np.random.default_rng(0).uniform(-1, 1.5, 416), 1.0, True)],
-    ids=["beta-0.1", "beta-1", "mixed-beta-1"],
+    "couplings, beta, rows_move, dtype",
+    [
+        (None, 0.1, False, np.float64),
+        (None, 1.0, False, np.float64),
+        (None, 40.0, True, np.float64),
+        (np.random.default_rng(0).uniform(-1, 1.5, 416), 1.0, True, np.complex128),
+    ],
+    ids=["beta-0.1", "beta-1", "beta-40", "mixed-beta-1"],
 )
-def test_det_matches_dense_slogdet_on_the_sweep_strip(splu_calls, couplings, beta, rows_move):
+def test_det_matches_dense_slogdet_on_the_sweep_strip(splu_calls, couplings, beta, rows_move, dtype):
     ising = uniform_ising(SWEEP_STRIP, beta)
     if couplings is not None:
         ising = IsingInstance(graph=SWEEP_STRIP, beta=beta, couplings=tuple(couplings))
@@ -306,6 +314,7 @@ def test_det_matches_dense_slogdet_on_the_sweep_strip(splu_calls, couplings, bet
     assert r.log_abs_det == pytest.approx(log_abs, rel=1e-12)
     assert abs(math.remainder(r.phase - phase, 2 * math.pi)) <= 1e-12
     [(_, lu)] = splu_calls
+    assert lu.U.dtype == dtype
     assert np.array_equal(lu.perm_r, np.arange(g.num_directed)) != rows_move
 
 
@@ -487,15 +496,29 @@ def reference_pattern(g: EmbeddedGraph, pos: np.ndarray):
     return indptr, all_rows[order], order
 
 
-def i_minus_t(tm, pos=None):
+def i_minus_t(tm, pos=None, values=None):
     """scipy's COO to CSC conversion of the triplets of ``I - T``, with
-    directed edge d at row and column ``pos[d]`` when ``pos`` is given."""
+    directed edge d at row and column ``pos[d]`` when ``pos`` is given, and
+    step k holding ``values[k]`` in place of ``tm.values[k]`` when
+    ``values`` is given."""
     diag = np.arange(tm.size)
     rows, cols = np.concatenate((diag, tm.rows)), np.concatenate((diag, tm.cols))
     if pos is not None:
         rows, cols = pos[rows], pos[cols]
-    data = np.concatenate((np.ones(tm.size, dtype=np.complex128), -tm.values))
+    data = np.concatenate((np.ones(tm.size), -(tm.values if values is None else values)))
     return csc_array((data, (rows, cols)), shape=(tm.size, tm.size))
+
+
+def direction_angles(g: EmbeddedGraph) -> np.ndarray:
+    """``theta_d``: the direction angle of each directed edge, one at a time."""
+    return np.array([math.atan2(dy, dx) for dx, dy in map(g.direction, range(g.num_directed))])
+
+
+def gauge_product(g: EmbeddedGraph) -> np.ndarray:
+    """``phase[k] * exp(i * (theta[rows[k]] - theta[cols[k]]) / 2)`` on every
+    step: the entries of ``D T D^-1`` over ``x_e``, ``D = diag(exp(i theta / 2))``."""
+    layout, theta = _layout(g), direction_angles(g)
+    return layout.phase * np.exp(0.5j * (theta[layout.rows] - theta[layout.cols]))
 
 
 def assert_is_paired_permutation(pos: np.ndarray, n: int):
@@ -533,10 +556,28 @@ def test_layout_is_bit_identical_to_the_per_step_loop(corpus):
         pattern = _pattern(g)
         assert_is_paired_permutation(pattern.pos, g.num_directed)
         want = reference_pattern(g, pattern.pos)
-        assert len(pattern) == 1 + len(want)
+        assert len(pattern) == 2 + len(want)  # pos first and sign last are checked elsewhere
         for name, got, expected in zip(pattern._fields[1:], pattern[1:], want):
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert np.array_equal(got, expected), name
+
+
+def test_the_gauge_signs_are_the_similarity_of_the_phases(corpus):
+    # D T D^-1, D = diag(exp(i theta_d / 2)), holds sign[k] * x_e on step k:
+    # the phase times the two half direction angles is +-1 to rounding.  The
+    # tied hub's spokes turn by +-pi, on the side of their exact orientation.
+    graphs = corpus + list(LATTICE_COLD_STRIPS) + [make_wheel(k) for k in range(3, 51)] + [
+        make_tied_hub(second_first) for second_first in (False, True)
+    ]
+    steps = flips = 0
+    for g in graphs:
+        sign = _pattern(g).sign
+        assert sign.dtype == np.float64 and not sign.flags.writeable
+        assert np.array_equal(np.abs(sign), np.ones(len(_layout(g).rows)))
+        assert np.abs(sign - gauge_product(g)).max(initial=0.0) <= 1e-12
+        steps += len(sign)
+        flips += int(np.count_nonzero(sign < 0))
+    assert steps > 60_000 and 0 < flips < steps
 
 
 def test_turning_angle_is_the_layouts_angle_bit_for_bit(corpus):
@@ -610,7 +651,8 @@ def test_shared_layout_arrays_are_read_only():
 def test_factored_matrix_is_scipys_coo_to_csc_conversion(monkeypatch, corpus):
     # The stored CSC layout must reproduce what csc_array makes of the COO
     # triplets of I - T, permuted into the drawing's order, bit for bit, so
-    # that SuperLU sees the same input.
+    # that SuperLU sees the same input: the real gauge's +-x_e when no weight
+    # is negative (the corpus), the complex entries otherwise.
     from kacward import transition
 
     factored = []
@@ -628,7 +670,11 @@ def test_factored_matrix_is_scipys_coo_to_csc_conversion(monkeypatch, corpus):
             tm = build_transition_matrix(x)
             pos = _pattern(x).pos
             assert_is_paired_permutation(pos, tm.size)
-            want = i_minus_t(tm, pos)
+            values = None
+            if min(x.weights(), default=0.0) >= 0.0:
+                sign = np.rint(gauge_product(x).real)
+                values = np.asarray(x.weights())[tm.rows >> 1] * sign
+            want = i_minus_t(tm, pos, values)
             a = factored.pop()
             assert a.shape == want.shape
             assert np.array_equal(a.indptr, want.indptr)
